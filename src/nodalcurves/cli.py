@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .cobordism import (
     DoublePointData,
@@ -83,15 +82,10 @@ def _save_table(args, table: SeveriTable):
         table.save(path)
 
 
-def _precompute(table: SeveriTable, pairs, threads: int):
-    """Evaluate independent top-level Severi keys, optionally in parallel."""
-    pairs = sorted(set(pairs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda p: severi(p[0], p[1], table), pairs))
-    else:
-        for d, delta in pairs:
-            severi(d, delta, table)
+def _precompute(table: SeveriTable, pairs):
+    """Evaluate the top-level Severi keys once each, in sorted order."""
+    for d, delta in sorted(set(pairs)):
+        severi(d, delta, table)
 
 
 def _fit_config(args) -> FitConfig:
@@ -113,7 +107,6 @@ def _build_fit(args, table: SeveriTable):
         table,
         [(config.d1, r) for r in range(config.order + 1)]
         + [(config.d2, r) for r in range(config.order + 1)],
-        args.threads,
     )
     return fit_A(config, table)
 
@@ -157,7 +150,7 @@ def cmd_severi(args) -> tuple[str, int]:
 def cmd_severi_table(args) -> tuple[str, int]:
     table = _load_table(args)
     pairs = [(d, k) for d in range(1, args.dmax + 1) for k in range(0, args.deltamax + 1)]
-    _precompute(table, pairs, args.threads)
+    _precompute(table, pairs)
     _save_table(args, table)
     if args.output == "json":
         rows = [
@@ -267,7 +260,7 @@ def cmd_genus_series(args) -> tuple[str, int]:
 def cmd_validate(args) -> tuple[str, int]:
     table = _load_table(args)
     fit = _build_fit(args, table)
-    _precompute(table, [(args.d, r) for r in range(args.order + 1)], args.threads)
+    _precompute(table, [(args.d, r) for r in range(args.order + 1)])
     report = validate_p2(args.d, fit, args.order, table, args.unsafe)
     _save_table(args, table)
     config = fit.config.to_json_dict()
@@ -289,7 +282,7 @@ def cmd_forms(args) -> tuple[str, int]:
 def _add_common(parser: argparse.ArgumentParser, output_default: str = "json"):
     parser.add_argument("--output", choices=["json", "csv", "pretty"], default=output_default)
     parser.add_argument("--cache", default=None, help=f"cache file (or env {CACHE_ENV_VAR})")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--no-timestamp", action="store_true")
 
 

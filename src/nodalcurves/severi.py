@@ -57,7 +57,40 @@ class AmplenessThresholdError(ValueError):
 
 # ----------------------------------------------------------------------
 # tangency profiles
-# ----------------------------------------------------------------------
+# A profile is a tuple of (m, count) pairs, multiplicities ascending and counts
+# positive.  The recursion works on these tuples; TangencyProfile validates
+# them at the API and cache boundary and delegates to the functions below.
+
+
+def _normalize(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((m, c) for m, c in counts.items() if c != 0))
+
+
+def _plus(pairs, other):
+    """pairs + other, counts added by multiplicity; other's counts may be negative."""
+    counts = dict(pairs)
+    for m, c in other:
+        counts[m] = counts.get(m, 0) + c
+    return _normalize(counts)
+
+
+def _sub_profiles(pairs, cap: int) -> list:
+    """Every (sub, I(sub), prod_m binom(pairs[m], sub[m])) with sub <= pairs
+    and I(sub) <= cap, in canonical order."""
+    if cap < 0:
+        return []
+    subs = [((), 0, 1)]
+    for m, c in pairs:
+        subs = [
+            (sub + ((m, take),) if take else sub, w + m * take, b * math.comb(c, take))
+            for sub, w, b in subs
+            for take in range(min(c, (cap - w) // m) + 1)
+        ]
+    return subs
+
+
+def _tokens(pairs) -> str:
+    return " ".join(f"{m}^{c}" for m, c in pairs) if pairs else "-"
 
 
 @dataclass(frozen=True)
@@ -92,8 +125,7 @@ class TangencyProfile:
 
     @staticmethod
     def of(counts: dict[int, int]) -> TangencyProfile:
-        items = tuple(sorted((m, c) for m, c in counts.items() if c != 0))
-        return TangencyProfile(items)
+        return TangencyProfile(_normalize(counts))
 
     @property
     def weight(self) -> int:
@@ -112,71 +144,35 @@ class TangencyProfile:
         return 0
 
     def add(self, m: int, k: int = 1) -> TangencyProfile:
-        counts = dict(self.pairs)
-        counts[m] = counts.get(m, 0) + k
-        return TangencyProfile.of(counts)
+        return TangencyProfile(_plus(self.pairs, ((m, k),)))
 
     def remove(self, m: int, k: int = 1) -> TangencyProfile:
         if self.count(m) < k:
             raise ProfileWeightMismatchError(f"cannot remove {k} contacts of order {m}")
         return self.add(m, -k)
 
-    def merge(self, other: TangencyProfile) -> TangencyProfile:
-        counts = dict(self.pairs)
-        for m, c in other.pairs:
-            counts[m] = counts.get(m, 0) + c
-        return TangencyProfile.of(counts)
-
     def sub_profiles(self, max_weight: int | None = None):
         """All profiles <= self, optionally with weight capped; canonical order."""
         cap = self.weight if max_weight is None else max_weight
-        if cap < 0:
-            return
-        ms = [m for m, _ in self.pairs]
-        cs = [c for _, c in self.pairs]
-
-        def rec(i: int, budget: int, acc: list[tuple[int, int]]):
-            if i == len(ms):
-                yield TangencyProfile(tuple(acc))
-                return
-            m, c = ms[i], cs[i]
-            for take in range(0, min(c, budget // m) + 1):
-                if take:
-                    acc.append((m, take))
-                yield from rec(i + 1, budget - m * take, acc)
-                if take:
-                    acc.pop()
-
-        yield from rec(0, cap, [])
+        for sub, _, _ in _sub_profiles(self.pairs, cap):
+            yield TangencyProfile(sub)
 
     def tokens(self) -> str:
-        return " ".join(f"{m}^{c}" for m, c in self.pairs) if self.pairs else "-"
+        return _tokens(self.pairs)
 
     @staticmethod
     def parse(text: str) -> TangencyProfile:
         text = text.strip()
         if text in ("", "-"):
             return _EMPTY_PROFILE
-        counts: dict[int, int] = {}
+        parsed = []
         for token in text.replace(",", " ").split():
-            if "^" in token:
-                m_str, c_str = token.split("^")
-                m, c = int(m_str), int(c_str)
-            else:
-                m, c = int(token), 1
-            counts[m] = counts.get(m, 0) + c
-        return TangencyProfile.of(counts)
+            m, c = token.split("^") if "^" in token else (token, 1)
+            parsed.append((int(m), int(c)))
+        return TangencyProfile(_plus((), parsed))
 
 
 _EMPTY_PROFILE = TangencyProfile(())
-
-
-def binom_product(larger: TangencyProfile, smaller: TangencyProfile) -> int:
-    """prod_m binom(larger[m], smaller[m]); zero if smaller is not contained."""
-    total = 1
-    for m, c in smaller.pairs:
-        total *= math.comb(larger.count(m), c)
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +201,7 @@ class SeveriKey:
         return SeveriKey(d, delta, TangencyProfile.empty(), TangencyProfile.simple(d))
 
     def canonical(self) -> str:
-        return f"{self.d}:{self.delta}:{self.alpha.tokens()}|{self.beta.tokens()}"
+        return _canonical(_flat(self))
 
     @staticmethod
     def from_canonical(text: str) -> SeveriKey:
@@ -219,17 +215,28 @@ class SeveriKey:
         )
 
 
+def _flat(key: SeveriKey) -> tuple:
+    """The plain tuple (d, delta, alpha_pairs, beta_pairs) the recursion uses."""
+    return (key.d, key.delta, key.alpha.pairs, key.beta.pairs)
+
+
+def _canonical(flat: tuple) -> str:
+    d, delta, alpha, beta = flat
+    return f"{d}:{delta}:{_tokens(alpha)}|{_tokens(beta)}"
+
+
 class SeveriTable:
     """Write-once memo table; concurrent reads, serialized idempotent writes.
 
-    hits and misses count top-level queries: a hit is a query answered from
-    the table, a miss is one that triggered computation.
+    Entries are keyed by plain tuples (see _flat); the public methods take
+    SeveriKey.  hits and misses count top-level queries: a hit is a query
+    answered from the table, a miss one that triggered computation.
     """
 
     def __init__(self):
-        self._entries: dict[SeveriKey, int] = {}
+        self._entries: dict[tuple, int] = {}
         self._lock = threading.RLock()
-        self._persisted: set[SeveriKey] = set()
+        self._persisted: set[tuple] = set()
         self.hits = 0
         self.misses = 0
 
@@ -237,19 +244,22 @@ class SeveriTable:
         return len(self._entries)
 
     def __contains__(self, key: SeveriKey) -> bool:
-        return key in self._entries
+        return _flat(key) in self._entries
 
     def get(self, key: SeveriKey) -> int:
-        return self._entries[key]
+        return self._entries[_flat(key)]
 
     def put(self, key: SeveriKey, value: int):
+        self._store(_flat(key), value)
+
+    def _store(self, flat: tuple, value: int):
         with self._lock:
-            existing = self._entries.get(key)
+            existing = self._entries.get(flat)
             if existing is None:
-                self._entries[key] = value
+                self._entries[flat] = value
             elif existing != value:
                 raise AssertionError(
-                    f"memo entry for {key.canonical()} recomputed to a different value"
+                    f"memo entry for {_canonical(flat)} recomputed to a different value"
                 )
 
     def clear(self):
@@ -284,7 +294,7 @@ class SeveriTable:
             doc = json.loads(line)
             key = SeveriKey.from_canonical(doc["key"])
             table.put(key, int(doc["value"]))
-            table._persisted.add(key)
+            table._persisted.add(_flat(key))
         return table
 
     def save(self, path):
@@ -306,13 +316,10 @@ class SeveriTable:
             with open(path, "a", encoding="ascii") as fh:
                 if fresh:
                     fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
-                for key in sorted(self._entries, key=SeveriKey.canonical):
-                    if key in self._persisted:
-                        continue
-                    fh.write(
-                        json.dumps({"key": key.canonical(), "value": str(self._entries[key])})
-                        + "\n"
-                    )
+                for text, key in sorted(
+                    (_canonical(key), key) for key in self._entries if key not in self._persisted
+                ):
+                    fh.write(json.dumps({"key": text, "value": str(self._entries[key])}) + "\n")
                     self._persisted.add(key)
 
 
@@ -341,52 +348,54 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _new_contacts(weight: int, max_excess: int):
-    """Profiles gamma with I(gamma) = weight and excess <= max_excess.
+@lru_cache(maxsize=None)
+def _new_contact_pairs(weight: int, max_excess: int) -> tuple:
+    """(gamma, excess, prod_m m^gamma[m]) for I(gamma) = weight, excess <= max_excess.
 
-    Yields (gamma, excess).  A profile of excess e is 1^k joined with parts
-    (nu_i + 1) for a partition nu of e, so only tiny partitions are touched.
-    """
+    A profile of excess e is 1^k joined with parts (nu_i + 1) for a partition
+    nu of e, so only tiny partitions are touched."""
+    out = []
     for excess in range(0, max_excess + 1):
         for nu in _partitions(excess):
             ones = weight - excess - len(nu)
             if ones < 0:
                 continue
-            counts: dict[int, int] = {}
-            if ones:
-                counts[1] = ones
+            counts: dict[int, int] = {1: ones}
             for part in nu:
                 counts[part + 1] = counts.get(part + 1, 0) + 1
-            yield TangencyProfile.of(counts), excess
+            gamma = _normalize(counts)
+            out.append((gamma, excess, math.prod(m**c for m, c in gamma)))
+    return tuple(out)
 
 
-def _expand(key: SeveriKey) -> tuple[int, list[tuple[int, SeveriKey]]]:
+def _new_contacts(weight: int, max_excess: int):
+    """Yields (gamma, excess) for I(gamma) = weight and excess <= max_excess."""
+    for gamma, excess, _ in _new_contact_pairs(weight, max_excess):
+        yield TangencyProfile(gamma), excess
+
+
+def _expand(key: tuple) -> tuple[int, list[tuple[int, tuple]]]:
     """Base value plus the weighted subcalls of one recursion step."""
-    d, delta, alpha, beta = key.d, key.delta, key.alpha, key.beta
+    d, delta, alpha, beta = key
     if d == 1:
         return (1 if delta == 0 else 0), []
-    deps: list[tuple[int, SeveriKey]] = []
+    deps: list[tuple[int, tuple]] = []
     # promote one unassigned contact to an assigned one
-    for m, _ in beta.pairs:
-        sub = SeveriKey(d, delta, alpha.add(m), beta.remove(m))
-        assert (sub.d, sub.beta.size) < (d, beta.size)
-        deps.append((m, sub))
+    for m, _ in beta:
+        deps.append((m, (d, delta, _plus(alpha, ((m, 1),)), _plus(beta, ((m, -1),)))))
     # drop the degree by one
-    ib = beta.weight
-    for alpha_p in alpha.sub_profiles(max_weight=min(delta - ib, d - 1 - ib)):
-        slack = delta - alpha_p.weight - ib
-        weight_new = d - 1 - alpha_p.weight - ib
-        ca = binom_product(alpha, alpha_p)
-        for gamma, excess in _new_contacts(weight_new, slack):
+    ib = sum(m * c for m, c in beta)
+    beta_counts = dict(beta)
+    for alpha_p, ia, ca in _sub_profiles(alpha, min(delta - ib, d - 1 - ib)):
+        slack = delta - ia - ib
+        for gamma, excess, power in _new_contact_pairs(d - 1 - ia - ib, slack):
             delta_p = slack - excess
             assert 0 <= delta_p <= delta
-            beta_p = beta.merge(gamma)
-            coeff = ca * binom_product(beta_p, beta)
-            for m, c in gamma.pairs:
-                coeff *= m**c
-            sub = SeveriKey(d - 1, delta_p, alpha_p, beta_p)
-            assert sub.d < d
-            deps.append((coeff, sub))
+            # binom(beta', beta) with beta' = beta + gamma
+            coeff = ca * power
+            for m, c in gamma:
+                coeff *= math.comb(beta_counts.get(m, 0) + c, c)
+            deps.append((coeff, (d - 1, delta_p, alpha_p, _plus(beta, gamma))))
     return 0, deps
 
 
@@ -394,30 +403,31 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
     """N(d, delta; alpha, beta), memoized; negative delta gives 0 by convention."""
     if key.delta < 0:
         return 0
-    if key in table:
+    key = _flat(key)
+    entries = table._entries
+    if key in entries:
         table.hits += 1
-        return table.get(key)
+        return entries[key]
     table.misses += 1
-    expansions: dict[SeveriKey, tuple[int, list[tuple[int, SeveriKey]]]] = {}
+    expansions: dict[tuple, tuple[int, list]] = {}
     stack = [key]
     while stack:
         top = stack[-1]
-        if top in table:
+        if top in entries:
             stack.pop()
             continue
-        cached = expansions.get(top)
-        if cached is None:
-            cached = _expand(top)
-            expansions[top] = cached
-        base, deps = cached
-        missing = [sub for _, sub in deps if sub not in table]
+        expansion = expansions.get(top)
+        if expansion is None:
+            expansion = expansions[top] = _expand(top)
+        base, deps = expansion
+        missing = [sub for _, sub in deps if sub not in entries]
         if missing:
             stack.extend(missing)
             continue
-        value = base + sum(c * table.get(sub) for c, sub in deps)
-        table.put(top, value)
+        table._store(top, base + sum(c * entries[sub] for c, sub in deps))
+        del expansions[top]
         stack.pop()
-    return table.get(key)
+    return entries[key]
 
 
 def severi(d: int, delta: int, table: SeveriTable) -> int:

@@ -1,5 +1,6 @@
 """Caporaso-Harris recursion: classical counts, tangency cases, node polynomials."""
 
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -210,6 +211,21 @@ def test_cache_version_mismatch_is_ignored(tmp_path):
     path.write_text('{"format": "severi-cache-0"}\n{"key": "2:1:-|1^2", "value": "999"}\n')
     loaded = SeveriTable.load(path)
     assert len(loaded) == 0
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # existing cache files depend on the header, the key syntax and the line order
+    local = SeveriTable()
+    severi(4, 2, local)
+    severi_relative(SeveriKey.from_canonical("4:1:2^1|1^2"), local)
+    path = tmp_path / "cache.jsonl"
+    local.save(path)
+    data = path.read_bytes()
+    assert (len(local), data.count(b"\n"), len(data)) == (48, 49, 1793)
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "3a78f44ba55d03124958b74e303fcaf6fc37931e94eb937754f563a099ff0fd5"
+    )
 
 
 # ----------------------------------------------------------------------
