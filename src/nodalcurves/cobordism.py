@@ -153,11 +153,6 @@ def hirzebruch(k: int, c: int, e: int) -> PairClass:
     return PairClass(L2, LK, 8, 4)
 
 
-def raw(L2: int, LK: int, c1sq: int, c2: int) -> PairClass:
-    """A raw vector, validated against the integrality invariants."""
-    return PairClass(L2, LK, c1sq, c2)
-
-
 # ----------------------------------------------------------------------
 # coordinate changes and decomposition
 # ----------------------------------------------------------------------

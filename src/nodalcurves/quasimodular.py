@@ -5,10 +5,10 @@ D is the operator q*d/dq, and Delta(q) = q * prod_{k>0} (1 - q^k)^24 is the
 discriminant cusp form.  Everything here is a formal q-series with rational
 coefficients; no analytic structure in tau is used.
 
-Delta is computed from the finite product (factors with k > M cannot change
-coefficients up to q^M).  Divisions by powers of q are explicit coefficient
-shifts with a valuation check, never formal series division, so a missing
-leading term fails loudly.
+Delta is computed as q * J^8, where Jacobi's identity gives the sparse series
+J = prod_{k>0} (1 - q^k)^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2).
+Divisions by powers of q are explicit coefficient shifts with a valuation
+check, never formal series division, so a missing leading term fails loudly.
 
 The closed-form generating function for a generic K3 surface with a
 primitive class of Euler characteristic chi is
@@ -62,16 +62,12 @@ def d2g2(order: int) -> PowerSeries:
 
 
 def discriminant_delta(order: int) -> PowerSeries:
-    """Delta = q * prod_{k=1..order} (1 - q^k)^24, truncated at the order."""
+    """Delta = q * J^8 with J = sum (-1)^n (2n+1) q^(n(n+1)/2) (Jacobi's identity)."""
     if order < 1:
         raise SeriesError("Delta needs order >= 1")
-    product = PowerSeries.one(order, "q")
-    for k in range(1, order + 1):
-        factor_coeffs = [Fraction(0)] * (order + 1)
-        factor_coeffs[0] = Fraction(1)
-        factor_coeffs[k] = Fraction(-1)
-        product = product * PowerSeries(tuple(factor_coeffs), "q") ** 24
-    return product.shift_up(1).truncate(order)
+    jacobi = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(order)}
+    j = PowerSeries.of([jacobi.get(k, 0) for k in range(order)], "q")
+    return (j**8).shift_up(1)
 
 
 def dg2_over_q(order: int) -> PowerSeries:

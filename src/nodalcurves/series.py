@@ -275,8 +275,9 @@ class PowerSeries:
                 while n:
                     if n & 1:
                         result = result * base
-                    base = base * base
                     n >>= 1
+                    if n:
+                        base = base * base
                 return result
             if self.coeffs[0] == 0:
                 raise NonUnitDivisorError(
@@ -305,23 +306,20 @@ class PowerSeries:
     def revert(self) -> PowerSeries:
         """Compositional inverse of a series with valuation exactly one.
 
-        Fixed-point refinement on h = (t - ghat(h))/g1 where ghat drops the
-        linear term; each pass gains one order of agreement, so order many
-        passes suffice.
+        Lagrange inversion: [t^n] h = [t^(n-1)] (t/g)^n / n, with t/g
+        computed once and its powers kept as one running product.
         """
         g = self.coeffs
         if g[0] != 0:
             raise ValuationError("reversion needs zero constant term")
         if self.order < 1 or g[1] == 0:
             raise ValuationError("reversion needs a nonzero linear coefficient")
-        m = self.order
-        var = _VAR_SWAP.get(self.var, self.var)
-        ghat = PowerSeries((Fraction(0), Fraction(0)) + g[2:], var)
-        h = PowerSeries.identity(m, var) / g[1]
-        t = PowerSeries.identity(m, var)
-        for _ in range(m):
-            h = (t - ghat.compose(h)) / g[1]
-        return h
+        t_over_g = 1 / PowerSeries(g[1:], self.var)
+        power, h = PowerSeries.one(self.order - 1), [Fraction(0)]
+        for n in range(1, self.order + 1):
+            power = power * t_over_g
+            h.append(power.coeffs[n - 1] / n)
+        return PowerSeries(tuple(h), _VAR_SWAP.get(self.var, self.var))
 
     def diff_d(self) -> PowerSeries:
         """The operator t*d/dt: multiplies coefficient n by n."""
@@ -355,9 +353,6 @@ class PowerSeries:
         if order >= self.order:
             return self
         return PowerSeries(self.coeffs[: order + 1], self.var)
-
-    def with_var(self, var: str) -> PowerSeries:
-        return PowerSeries(self.coeffs, var)
 
     # ------------------------------------------------------------------
     # serialization: coefficients as "p/q" strings plus the order

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,6 +226,19 @@ def _canonical(flat: tuple) -> str:
     return f"{d}:{delta}:{_tokens(alpha)}|{_tokens(beta)}"
 
 
+def _complete_length(fh) -> int:
+    """Bytes of a binary file up to and including its last newline."""
+    end = fh.seek(0, os.SEEK_END)
+    while end:
+        start = max(0, end - 4096)
+        fh.seek(start)
+        chunk = fh.read(end - start)
+        if b"\n" in chunk:
+            return start + chunk.rindex(b"\n") + 1
+        end = start
+    return 0
+
+
 class SeveriTable:
     """Write-once memo table; concurrent reads, serialized idempotent writes.
 
@@ -276,13 +290,16 @@ class SeveriTable:
 
     @staticmethod
     def load(path) -> SeveriTable:
-        """Load a cache file; entries are trusted only on format-version match."""
+        """Load a cache file; entries are trusted only on format-version match.
+
+        A last line without its newline is a torn append and is ignored."""
         table = SeveriTable()
         try:
             with open(path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
+                lines = fh.read().split("\n")
         except FileNotFoundError:
             return table
+        lines.pop()
         if not lines:
             return table
         header = json.loads(lines[0])
@@ -298,23 +315,27 @@ class SeveriTable:
         return table
 
     def save(self, path):
-        """Append entries not yet on disk; writes the header on a fresh file."""
+        """Append entries not yet on disk; writes the header on a fresh file.
+
+        A torn last line is cut off first; a file whose header is torn is
+        started afresh."""
         with self._lock:
-            fresh = True
+            complete = 0
             try:
-                with open(path, "r", encoding="ascii") as fh:
+                with open(path, "rb") as fh:
                     first = fh.readline()
-                if first:
-                    header = json.loads(first)
-                    if header.get("format") != CACHE_FORMAT_VERSION:
-                        raise ValueError(
-                            f"cache file {path} has format {header.get('format')!r}; refusing to append"
-                        )
-                    fresh = False
+                    complete = _complete_length(fh)
             except FileNotFoundError:
                 pass
+            if complete:
+                header = json.loads(first)
+                if header.get("format") != CACHE_FORMAT_VERSION:
+                    raise ValueError(
+                        f"cache file {path} has format {header.get('format')!r}; refusing to append"
+                    )
             with open(path, "a", encoding="ascii") as fh:
-                if fresh:
+                fh.truncate(complete)
+                if not complete:
                     fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
                 for text, key in sorted(
                     (_canonical(key), key) for key in self._entries if key not in self._persisted

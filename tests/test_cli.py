@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from nodalcurves import SeveriTable
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -171,6 +173,27 @@ def test_cache_file_roundtrip(tmp_path):
         "severi", "--d", "5", "--delta", "2", "--cache", str(cache), "--no-timestamp"
     )
     assert second.stdout == first.stdout
+
+
+def test_cache_torn_tail_is_skipped_and_cut(tmp_path):
+    cache = tmp_path / "table.jsonl"
+    args = ("severi", "--d", "5", "--delta", "2", "--cache", str(cache), "--no-timestamp")
+    assert run_cli(*args).returncode == 0
+    cache.write_bytes(cache.read_bytes()[:-20])
+    assert doc_of(run_cli(*args))["result"]["value"] == "882"
+    data = cache.read_bytes()
+    assert data.endswith(b"\n")
+    assert len(SeveriTable.load(cache)) == data.count(b"\n") - 1
+
+
+def test_cache_garbage_middle_line_exits_2(tmp_path):
+    cache = tmp_path / "table.jsonl"
+    args = ("severi", "--d", "5", "--delta", "2", "--cache", str(cache), "--no-timestamp")
+    assert run_cli(*args).returncode == 0
+    lines = cache.read_text().splitlines(keepends=True)
+    lines[len(lines) // 2] = "garbage{\n"
+    cache.write_text("".join(lines))
+    assert run_cli(*args).returncode == 2
 
 
 def test_cache_env_variable(tmp_path):

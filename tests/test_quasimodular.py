@@ -65,9 +65,9 @@ def test_delta_leading_coefficient_and_unit_shift():
     assert delta.shift_down(1).constant_term == 1
 
 
-def test_delta_against_plain_integer_product():
+@pytest.mark.parametrize("order", [1, 2, 12])
+def test_delta_against_plain_integer_product(order):
     # independent oracle: expand q * prod (1 - q^k)^24 with bare integer lists
-    order = 12
     poly = [1] + [0] * order
     for k in range(1, order + 1):
         factor = [0] * (order + 1)
@@ -86,6 +86,15 @@ def test_delta_against_plain_integer_product():
     expected = [0] + poly[:order]
     delta = discriminant_delta(order)
     assert [int(c) for c in delta.coeffs] == expected
+
+
+def test_delta_satisfies_its_modular_differential_equation():
+    # independent of any product: D(Delta) = E2 * Delta with E2 = -24 * G2,
+    # which fixes every coefficient once the leading one is 1
+    order = 150
+    delta = discriminant_delta(order)
+    assert delta.coeff(0) == 0 and delta.coeff(1) == 1
+    assert delta.diff_d() == delta * (eisenstein_g2(order) * -24)
 
 
 def test_delta_requires_positive_order():
@@ -131,6 +140,14 @@ def test_dg2_revert_roundtrip():
     inverse = series.revert()
     assert series.compose(inverse) == PowerSeries.identity(8, "x")
     assert inverse.compose(series) == PowerSeries.identity(8, "q")
+
+
+def test_dg2_revert_roundtrip_at_order_30():
+    series = dg2(30)
+    inverse = series.revert()
+    assert inverse.order == 30 and inverse.var == "x"
+    assert series.compose(inverse) == PowerSeries.identity(30, "x")
+    assert inverse.compose(series) == PowerSeries.identity(30, "q")
 
 
 def test_form_catalog_build_and_roundtrip():

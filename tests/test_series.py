@@ -103,6 +103,12 @@ def test_revert_example():
     assert g.revert() == series(0, 1, -1, 2, -5, var="x")
 
 
+def test_revert_at_order_one_keeps_the_variable_rules():
+    inverse = series(0, 3).revert()
+    assert inverse.coeffs == (F(0), F(1, 3)) and inverse.var == "x"
+    assert series(0, 3, 1, var="t").revert().var == "t"
+
+
 def test_revert_preconditions():
     with pytest.raises(ValuationError):
         PowerSeries.one(3).revert()

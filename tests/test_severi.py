@@ -213,6 +213,17 @@ def test_cache_version_mismatch_is_ignored(tmp_path):
     assert len(loaded) == 0
 
 
+def test_cache_save_restarts_a_file_with_a_torn_header(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"form')
+    assert len(SeveriTable.load(path)) == 0
+    local = SeveriTable()
+    severi(3, 1, local)
+    local.save(path)
+    assert path.read_text().startswith('{"format": "severi-cache-1"}\n')
+    assert len(SeveriTable.load(path)) == len(local)
+
+
 def test_cache_file_bytes_are_pinned(tmp_path):
     # existing cache files depend on the header, the key syntax and the line order
     local = SeveriTable()
