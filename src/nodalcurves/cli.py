@@ -71,9 +71,7 @@ def _cache_path(args) -> str | None:
 
 def _load_table(args) -> SeveriTable:
     path = _cache_path(args)
-    if path and os.path.exists(path):
-        return SeveriTable.load(path)
-    return SeveriTable()
+    return SeveriTable.load(path) if path else SeveriTable()
 
 
 def _save_table(args, table: SeveriTable):

@@ -1,6 +1,6 @@
-"""Small exact linear algebra over the rationals: solve, invert, determinant.
+"""Small exact linear algebra over the rationals: solve and determinant.
 
-Plain Gaussian elimination with pivot search; everything stays in
+Both run on one Gaussian elimination with pivot search.  The matrix stays in
 fractions.Fraction, so there is no conditioning to worry about, only
 singularity.
 """
@@ -14,23 +14,25 @@ class SingularMatrixError(ValueError):
     """The system has no unique solution."""
 
 
-def _rows(matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _eliminate(matrix, rhs):
+    """Forward elimination of matrix * x = rhs.
 
-
-def solve(matrix, rhs) -> list[Fraction]:
-    """Solve matrix * x = rhs exactly; raises SingularMatrixError if singular."""
+    Returns the upper-triangular rows, the right-hand side reduced alongside
+    them, and the sign of the row swaps made."""
     n = len(matrix)
-    m = _rows(matrix)
-    b = [Fraction(x) for x in rhs]
+    m = [[Fraction(x) for x in row] for row in matrix]
+    b = list(rhs)
     if any(len(row) != n for row in m) or len(b) != n:
-        raise ValueError("solve needs a square system")
+        raise ValueError("linear algebra needs a square system")
+    sign = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError(f"singular matrix (no pivot in column {col})")
-        m[col], m[pivot] = m[pivot], m[col]
-        b[col], b[pivot] = b[pivot], b[col]
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            b[col], b[pivot] = b[pivot], b[col]
+            sign = -sign
         inv = 1 / m[col][col]
         for r in range(col + 1, n):
             if m[r][col] == 0:
@@ -39,48 +41,32 @@ def solve(matrix, rhs) -> list[Fraction]:
             for c in range(col, n):
                 m[r][c] -= factor * m[col][c]
             b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
+    return m, b, sign
+
+
+def solve(matrix, rhs) -> list:
+    """Solve matrix * x = rhs exactly; raises SingularMatrixError if singular.
+
+    The matrix is coerced to Fraction.  The right-hand side entries are used
+    as given: any exact values with +, -, and * and / by a Fraction, such as
+    Fractions or PowerSeries (which solves every coefficient at once)."""
+    m, b, _ = _eliminate(matrix, rhs)
+    x = [None] * len(m)
+    for r in range(len(m) - 1, -1, -1):
         acc = b[r]
-        for c in range(r + 1, n):
+        for c in range(r + 1, len(m)):
             acc -= m[r][c] * x[c]
         x[r] = acc / m[r][r]
     return x
 
 
 def determinant(matrix) -> Fraction:
-    n = len(matrix)
-    m = _rows(matrix)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
+    """The signed product of the pivots; 0 for a singular matrix."""
+    try:
+        m, _, sign = _eliminate(matrix, [0] * len(matrix))
+    except SingularMatrixError:
+        return Fraction(0)
+    det = Fraction(sign)
+    for r, row in enumerate(m):
+        det *= row[r]
     return det
-
-
-def invert(matrix) -> list[list[Fraction]]:
-    """Exact inverse via column-by-column solves."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve(matrix, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def mat_vec(matrix, vec) -> list[Fraction]:
-    return [sum((Fraction(a) * Fraction(v) for a, v in zip(row, vec)), Fraction(0)) for row in matrix]

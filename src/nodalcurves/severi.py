@@ -34,6 +34,7 @@ callers are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -226,6 +227,14 @@ def _canonical(flat: tuple) -> str:
     return f"{d}:{delta}:{_tokens(alpha)}|{_tokens(beta)}"
 
 
+def _cache_format(path, line):
+    """The format tag in a cache file's header line."""
+    header = json.loads(line)
+    if not isinstance(header, dict):
+        raise ValueError(f"cache file {path} has a header that is not a JSON object")
+    return header.get("format")
+
+
 def _complete_length(fh) -> int:
     """Bytes of a binary file up to and including its last newline."""
     end = fh.seek(0, os.SEEK_END)
@@ -250,18 +259,14 @@ class SeveriTable:
     def __init__(self):
         self._entries: dict[tuple, int] = {}
         self._lock = threading.RLock()
-        self._persisted: set[tuple] = set()
+        # entries are only removed all at once, by clear, so the ones already
+        # on disk are the first _saved in insertion order
+        self._saved = 0
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: SeveriKey) -> bool:
-        return _flat(key) in self._entries
-
-    def get(self, key: SeveriKey) -> int:
-        return self._entries[_flat(key)]
 
     def put(self, key: SeveriKey, value: int):
         self._store(_flat(key), value)
@@ -279,7 +284,7 @@ class SeveriTable:
     def clear(self):
         with self._lock:
             self._entries.clear()
-            self._persisted.clear()
+            self._saved = 0
             self.hits = 0
             self.misses = 0
 
@@ -292,7 +297,8 @@ class SeveriTable:
     def load(path) -> SeveriTable:
         """Load a cache file; entries are trusted only on format-version match.
 
-        A last line without its newline is a torn append and is ignored."""
+        A last line without its newline is a torn append and is ignored; a
+        complete line that is not a cache entry raises ValueError."""
         table = SeveriTable()
         try:
             with open(path, "r", encoding="ascii") as fh:
@@ -302,16 +308,18 @@ class SeveriTable:
         lines.pop()
         if not lines:
             return table
-        header = json.loads(lines[0])
-        if header.get("format") != CACHE_FORMAT_VERSION:
+        if _cache_format(path, lines[0]) != CACHE_FORMAT_VERSION:
             return table
         for line in lines[1:]:
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            key = SeveriKey.from_canonical(doc["key"])
-            table.put(key, int(doc["value"]))
-            table._persisted.add(_flat(key))
+            try:
+                doc = json.loads(line)
+                key, value = SeveriKey.from_canonical(doc["key"]), int(doc["value"])
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"cache file {path} has a malformed line {line!r}") from exc
+            table.put(key, value)
+        table._saved = len(table._entries)
         return table
 
     def save(self, path):
@@ -328,20 +336,19 @@ class SeveriTable:
             except FileNotFoundError:
                 pass
             if complete:
-                header = json.loads(first)
-                if header.get("format") != CACHE_FORMAT_VERSION:
+                found = _cache_format(path, first)
+                if found != CACHE_FORMAT_VERSION:
                     raise ValueError(
-                        f"cache file {path} has format {header.get('format')!r}; refusing to append"
+                        f"cache file {path} has format {found!r}; refusing to append"
                     )
             with open(path, "a", encoding="ascii") as fh:
                 fh.truncate(complete)
                 if not complete:
                     fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
-                for text, key in sorted(
-                    (_canonical(key), key) for key in self._entries if key not in self._persisted
-                ):
+                new = itertools.islice(self._entries, self._saved, None)
+                for text, key in sorted((_canonical(key), key) for key in new):
                     fh.write(json.dumps({"key": text, "value": str(self._entries[key])}) + "\n")
-                    self._persisted.add(key)
+            self._saved = len(self._entries)
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,11 @@ full generating series multiplies across those numbers:
 
     sum_r T_r(v) x^r = A1^(L^2) * A2^(L.K) * A3^(c1^2) * A4^(c2).
 
-Taking logs makes each x-order a linear equation in the four unknown
-log-series coefficients, so exact plane Severi degrees for two degrees plus
-the closed-form K3 series for two primitive squares determine log A1..A4 by
-one 4x4 rational solve per order (the four input vectors must be a basis).
+Taking logs makes this a linear system in the four unknown log-series, so
+exact plane Severi degrees for two degrees plus the closed-form K3 series
+for two primitive squares determine log A1..A4 by one 4x4 rational solve
+whose right-hand sides are the four input log-series (the four input
+vectors must be a basis).
 The K3 input lives in the variable q with x = DG2(q); it is pulled back
 through the compositional inverse of DG2.
 
@@ -116,21 +117,13 @@ def k3_series_in_x(s: int, order: int) -> PowerSeries:
 def fit_A(config: FitConfig, table: SeveriTable) -> MultiplicativeFit:
     """Solve for log A1..A4 from two plane degrees and two K3 squares."""
     matrix = [v.as_tuple() for v in config.basis()]
-    inverse = linalg.invert(matrix)
     inputs = [
         p2_series(config.d1, config.order, table, config.unsafe).log(),
         p2_series(config.d2, config.order, table, config.unsafe).log(),
         k3_series_in_x(config.s1, config.order).log(),
         k3_series_in_x(config.s2, config.order).log(),
     ]
-    m = config.order
-    log_coeffs = [[Fraction(0)] * (m + 1) for _ in range(4)]
-    for n in range(1, m + 1):
-        rhs = [series.coeff(n) for series in inputs]
-        column = linalg.mat_vec(inverse, rhs)
-        for i in range(4):
-            log_coeffs[i][n] = column[i]
-    log_a = tuple(PowerSeries.of(c, "x") for c in log_coeffs)
+    log_a = tuple(linalg.solve(matrix, inputs))
     return MultiplicativeFit(config=config, log_a=log_a, a=tuple(s.exp() for s in log_a))
 
 
@@ -151,34 +144,6 @@ def evaluate(v: PairClass, fit: MultiplicativeFit, order: int | None = None) -> 
 # ----------------------------------------------------------------------
 
 Exponents = tuple[int, int, int, int]
-
-
-def _poly_add(p: dict[Exponents, Fraction], q: dict[Exponents, Fraction]) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _poly_mul(p: dict[Exponents, Fraction], q: dict[Exponents, Fraction]) -> dict:
-    out: dict[Exponents, Fraction] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _poly_scale(p: dict[Exponents, Fraction], c: Fraction) -> dict:
-    return {e: v * c for e, v in p.items()} if c else {}
 
 
 @dataclass(frozen=True)
@@ -218,29 +183,33 @@ class UniversalPolynomial:
 
 def universal_T(r: int, fit: MultiplicativeFit) -> UniversalPolynomial:
     """Extract T_r: the x^r coefficient of exp(sum_i y_i log A_i) with the
-    four weights kept as formal variables."""
+    four weights y_i kept as formal variables.
+
+    exp(sum_i y_i L_i) = prod_i sum_k y_i^k L_i^k / k!, so the coefficient of
+    y^e is [x^r] prod_i L_i^(e_i) / e_i!, read off series products."""
     if r > fit.order:
         raise FitConfigError(f"T_{r} needs fit order >= {r}, have {fit.order}")
-    # u[n] = x^n coefficient of sum_i y_i log A_i, a linear polynomial in y
-    unit = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
-    u = []
-    for n in range(r + 1):
-        poly: dict[Exponents, Fraction] = {}
-        for i in range(4):
-            c = fit.log_a[i].coeff(n)
-            if c:
-                poly[unit[i]] = c
-        u.append(poly)
-    # exp recurrence n*E_n = sum_k k*u_k*E_(n-k)
-    e: list[dict[Exponents, Fraction]] = [{(0, 0, 0, 0): Fraction(1)}]
-    for n in range(1, r + 1):
-        acc: dict[Exponents, Fraction] = {}
-        for k in range(1, n + 1):
-            if u[k]:
-                acc = _poly_add(acc, _poly_mul(_poly_scale(u[k], Fraction(k)), e[n - k]))
-        e.append(_poly_scale(acc, Fraction(1, n)))
-    terms = tuple(sorted(e[r].items()))
-    return UniversalPolynomial(r=r, terms=terms)
+    # powers[i][k] = L_i^k / k!; L_i has no constant term, so k <= r suffices
+    powers = []
+    for log_series in fit.log_a:
+        log_series = log_series.truncate(r)
+        row = [PowerSeries.one(r, log_series.var)]
+        for k in range(1, r + 1):
+            row.append(row[-1] * log_series / k)
+        powers.append(row)
+    terms = []  # filled in lexicographic order of the exponents
+    for e0 in range(r + 1):
+        for e1 in range(r + 1 - e0):
+            p01 = powers[0][e0] * powers[1][e1] if e1 else powers[0][e0]
+            for e2 in range(r + 1 - e0 - e1):
+                p012 = (p01 * powers[2][e2] if e2 else p01).coeffs
+                low = e0 + e1 + e2  # p012 has no terms below x^low
+                for e3 in range(r + 1 - low):
+                    p3 = powers[3][e3].coeffs
+                    c = sum(p012[j] * p3[r - j] for j in range(low, r + 1 - e3))
+                    if c:
+                        terms.append(((e0, e1, e2, e3), c))
+    return UniversalPolynomial(r=r, terms=tuple(terms))
 
 
 # ----------------------------------------------------------------------

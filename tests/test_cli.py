@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, determinism, cache."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -98,6 +99,18 @@ def test_fit_order_one_t1():
     assert doc["result"]["residuals"]["ok"] is True
 
 
+def test_fit_order_four_bytes_are_pinned():
+    # log-series, T_0..T_4, B-series and residuals, exactly as printed
+    proc = run_cli("fit", "--order", "4", "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    data = proc.stdout.encode()
+    assert len(data) == 16296
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "6a7c6db312aa89b1680cb69632ebc3792c801ab90ee828b8b3f93eed46d683c6"
+    )
+
+
 def test_evaluate_formal_zero_vector():
     doc = doc_of(
         run_cli(
@@ -194,6 +207,25 @@ def test_cache_garbage_middle_line_exits_2(tmp_path):
     lines[len(lines) // 2] = "garbage{\n"
     cache.write_text("".join(lines))
     assert run_cli(*args).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format": "severi-cache-1"}\n{"k": "2:0:-|1^2", "value": "1"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2"}\n',
+        '{"format": "severi-cache-1"}\n[1, 2]\n',
+        '{"format": "severi-cache-1"}\n{"key": 5, "value": "1"}\n',
+        "[]\n",
+    ],
+    ids=["no-key", "no-value", "list-line", "key-not-text", "list-header"],
+)
+def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
+    cache = tmp_path / "table.jsonl"
+    cache.write_text(text)
+    proc = run_cli("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--no-timestamp")
+    assert proc.returncode == 2
+    assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_cache_env_variable(tmp_path):

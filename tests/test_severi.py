@@ -206,6 +206,18 @@ def test_cache_save_load_roundtrip(tmp_path):
     assert len(again) == len(local)
 
 
+def test_cache_resave_appends_exactly_the_new_entries(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    local = SeveriTable()
+    severi(4, 2, local)
+    local.save(path)
+    loaded = SeveriTable.load(path)
+    severi(5, 2, loaded)
+    loaded.save(path)
+    loaded.save(path)
+    assert path.read_text().count("\n") == len(loaded) + 1
+
+
 def test_cache_version_mismatch_is_ignored(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"format": "severi-cache-0"}\n{"key": "2:1:-|1^2", "value": "999"}\n')

@@ -180,6 +180,16 @@ def test_t_series_reconstruction(fit2):
         assert series.coeffs == tuple(p.evaluate(v) for p in polys)
 
 
+def test_t_series_reconstruction_at_order_four(table):
+    # order two never reaches an exponent above two; order four does
+    fit4 = fit_A(default_config(4), table)
+    rng = random.Random(13)
+    polys = [universal_T(r, fit4) for r in range(5)]
+    for _ in range(25):
+        v = random_valid_vector(rng)
+        assert evaluate(v, fit4).coeffs == tuple(p.evaluate(v) for p in polys)
+
+
 def test_homomorphism_identity(fit2):
     rng = random.Random(11)
     for _ in range(25):
