@@ -24,17 +24,13 @@ import time
 
 from .cobordism import (
     DoublePointData,
-    InvariantError,
     PairClass,
     close_relation,
     convert,
     decompose,
 )
 from .quasimodular import FormCatalog
-from .series import SeriesError
 from .severi import (
-    AmplenessThresholdError,
-    ProfileWeightMismatchError,
     SeveriKey,
     SeveriTable,
     TangencyProfile,
@@ -43,7 +39,6 @@ from .severi import (
 )
 from .universal import (
     FitConfig,
-    FitConfigError,
     default_config,
     evaluate,
     fit_A,
@@ -277,8 +272,9 @@ def cmd_forms(args) -> tuple[str, int]:
 # ----------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, output_default: str = "json"):
-    parser.add_argument("--output", choices=["json", "csv", "pretty"], default=output_default)
+def _add_common(parser: argparse.ArgumentParser, formats=("json",)):
+    """The flags every subcommand takes; --output offers formats, the first the default."""
+    parser.add_argument("--output", choices=formats, default=formats[0])
     parser.add_argument("--cache", default=None, help=f"cache file (or env {CACHE_ENV_VAR})")
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--no-timestamp", action="store_true")
@@ -302,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--alpha", default=None, help='assigned contacts, e.g. "1^2,2^1"')
     p.add_argument("--beta", default=None, help="unassigned contacts; defaults to transverse")
-    _add_common(p)
+    _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_severi)
 
     p = sub.add_parser("severi-table", help="CSV or JSON table of plain Severi degrees")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--deltamax", type=int, required=True)
-    _add_common(p, output_default="csv")
+    _add_common(p, ("csv", "json"))
     p.set_defaults(handler=cmd_severi_table)
 
     p = sub.add_parser("fit", help="solve for A1..A4, B1..B4 and the polynomials T_r")
@@ -325,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     _add_fit_params(p)
-    _add_common(p)
+    _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("decompose", help="coefficients on the standard basis")
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1sq", type=int, required=True)
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--alt", action="store_true", help="also emit (LK, chiL, chiO, Ksq)")
-    _add_common(p)
+    _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("close-relation", help="ruled correction term and completed vector")
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chiO", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     _add_fit_params(p)
-    _add_common(p)
+    _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_genus_series)
 
     p = sub.add_parser("validate", help="held-out plane degree against the fit")
@@ -370,23 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USER_ERRORS = (
-    CliError,
-    FitConfigError,
-    InvariantError,
-    ProfileWeightMismatchError,
-    AmplenessThresholdError,
-    SeriesError,
-    ValueError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         text, status = args.handler(args)
-    except _USER_ERRORS as exc:
+    except ValueError as exc:
         error = {"error": {"code": EXIT_VALIDATION, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return EXIT_VALIDATION

@@ -62,18 +62,18 @@ class AmplenessThresholdError(ValueError):
 # A profile is a tuple of (m, count) pairs, multiplicities ascending and counts
 # positive.  The recursion works on these tuples; TangencyProfile validates
 # them at the API and cache boundary and delegates to the functions below.
+# _plus is the one function that makes a canonical profile.  It is memoized
+# (so its arguments must be tuples): equal operands give one tuple object, and
+# the memo keys share a few hundred profiles instead of holding their own copies.
 
 
-def _normalize(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((m, c) for m, c in counts.items() if c != 0))
-
-
+@lru_cache(maxsize=None)
 def _plus(pairs, other):
     """pairs + other, counts added by multiplicity; other's counts may be negative."""
     counts = dict(pairs)
     for m, c in other:
         counts[m] = counts.get(m, 0) + c
-    return _normalize(counts)
+    return tuple(sorted((m, c) for m, c in counts.items() if c != 0))
 
 
 def _sub_profiles(pairs, cap: int) -> list:
@@ -127,7 +127,7 @@ class TangencyProfile:
 
     @staticmethod
     def of(counts: dict[int, int]) -> TangencyProfile:
-        return TangencyProfile(_normalize(counts))
+        return TangencyProfile(_plus((), tuple(counts.items())))
 
     @property
     def weight(self) -> int:
@@ -171,7 +171,7 @@ class TangencyProfile:
         for token in text.replace(",", " ").split():
             m, c = token.split("^") if "^" in token else (token, 1)
             parsed.append((int(m), int(c)))
-        return TangencyProfile(_plus((), parsed))
+        return TangencyProfile(_plus((), tuple(parsed)))
 
 
 _EMPTY_PROFILE = TangencyProfile(())
@@ -229,7 +229,10 @@ def _canonical(flat: tuple) -> str:
 
 def _cache_format(path, line):
     """The format tag in a cache file's header line."""
-    header = json.loads(line)
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
     if not isinstance(header, dict):
         raise ValueError(f"cache file {path} has a header that is not a JSON object")
     return header.get("format")
@@ -357,23 +360,12 @@ class SeveriTable:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n, parts descending, in deterministic order."""
+def _partitions(n: int, largest: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Partitions of n into parts <= largest (default n), descending, in reverse lex order."""
     if n == 0:
         return ((),)
-    out = []
-
-    def rec(remaining: int, largest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+    top = n if largest is None else min(n, largest)
+    return tuple((p,) + rest for p in range(top, 0, -1) for rest in _partitions(n - p, p))
 
 
 @lru_cache(maxsize=None)
@@ -388,10 +380,7 @@ def _new_contact_pairs(weight: int, max_excess: int) -> tuple:
             ones = weight - excess - len(nu)
             if ones < 0:
                 continue
-            counts: dict[int, int] = {1: ones}
-            for part in nu:
-                counts[part + 1] = counts.get(part + 1, 0) + 1
-            gamma = _normalize(counts)
+            gamma = _plus(((1, ones),), tuple((part + 1, 1) for part in nu))
             out.append((gamma, excess, math.prod(m**c for m, c in gamma)))
     return tuple(out)
 

@@ -165,6 +165,60 @@ def test_severi_table_csv():
     assert all(ord(ch) < 128 for ch in proc.stdout)
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (("severi", "--d", "3", "--delta", "1", "--output", "pretty"), "N(3:1:-|1^3) = 12\n"),
+        (
+            ("evaluate", "--L2", "2", "--LK", "0", "--c1sq", "0", "--c2", "24", "--order", "2",
+             "--output", "pretty"),
+            "1 + 30*x + 324*x^2 + O(x^3)\n",
+        ),
+        (
+            ("decompose", "--L2", "1", "--LK", "-3", "--c1sq", "9", "--c2", "3",
+             "--output", "pretty"),
+            "a1=0 a2=1 a3=0 a4=0\n",
+        ),
+        (
+            ("genus-series", "--r", "0", "--Ksq", "0", "--m", "0", "--chiO", "2", "--order", "4",
+             "--output", "pretty"),
+            "1*q + 24*q^2 + 324*q^3 + 3200*q^4 + O(q^5)\n",
+        ),
+    ],
+    ids=["severi", "evaluate", "decompose", "genus-series"],
+)
+def test_pretty_output(args, expected):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_severi_table_json_output():
+    doc = doc_of(run_cli("severi-table", "--dmax", "2", "--deltamax", "1", "--output", "json",
+                         "--no-timestamp"))
+    assert doc["result"]["rows"] == [
+        {"d": 1, "delta": 0, "value": "1"},
+        {"d": 1, "delta": 1, "value": "0"},
+        {"d": 2, "delta": 0, "value": "1"},
+        {"d": 2, "delta": 1, "value": "3"},
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("fit", "--order", "1", "--output", "csv"),
+        ("forms", "--order", "2", "--output", "pretty"),
+        ("severi-table", "--dmax", "2", "--deltamax", "1", "--output", "pretty"),
+    ],
+    ids=["fit-csv", "forms-pretty", "severi-table-pretty"],
+)
+def test_output_format_a_subcommand_lacks_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
 def test_timestamp_present_by_default_and_suppressible():
     with_ts = run_cli("decompose", "--L2", "0", "--LK", "0", "--c1sq", "9", "--c2", "3")
     assert "timestamp" in json.loads(with_ts.stdout)
@@ -217,8 +271,9 @@ def test_cache_garbage_middle_line_exits_2(tmp_path):
         '{"format": "severi-cache-1"}\n[1, 2]\n',
         '{"format": "severi-cache-1"}\n{"key": 5, "value": "1"}\n',
         "[]\n",
+        "garbage\n",
     ],
-    ids=["no-key", "no-value", "list-line", "key-not-text", "list-header"],
+    ids=["no-key", "no-value", "list-line", "key-not-text", "list-header", "not-json-header"],
 )
 def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
     cache = tmp_path / "table.jsonl"

@@ -236,6 +236,32 @@ def test_cache_save_restarts_a_file_with_a_torn_header(tmp_path):
     assert len(SeveriTable.load(path)) == len(local)
 
 
+def test_cache_save_onto_a_header_that_is_not_json_names_the_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("garbage\n")
+    local = SeveriTable()
+    severi(3, 1, local)
+    with pytest.raises(ValueError) as excinfo:
+        local.save(path)
+    assert str(path) in str(excinfo.value)
+    assert path.read_text() == "garbage\n"
+
+
+def _profile_objects(table):
+    return {id(profile) for key in table._entries for profile in key[2:]}
+
+
+def test_memo_keys_share_their_profiles(tmp_path):
+    local = SeveriTable()
+    severi(12, 3, local)
+    assert len(_profile_objects(local)) < len(local) // 4
+    path = tmp_path / "cache.jsonl"
+    local.save(path)
+    loaded = SeveriTable.load(path)
+    distinct = {profile for key in loaded._entries for profile in key[2:]}
+    assert len(_profile_objects(loaded)) == len(distinct)
+
+
 def test_cache_file_bytes_are_pinned(tmp_path):
     # existing cache files depend on the header, the key syntax and the line order
     local = SeveriTable()
