@@ -283,7 +283,7 @@ def _add_common(parser: argparse.ArgumentParser, formats=("json",)):
 def _add_fit_params(parser: argparse.ArgumentParser):
     parser.add_argument("--degrees", default=None, help="two plane degrees, e.g. 9,10")
     parser.add_argument("--k3", default=None, help="two even K3 squares, e.g. 2,4")
-    parser.add_argument("--unsafe", action="store_true", help="skip the 5r-1 threshold")
+    parser.add_argument("--unsafe", action="store_true", help="skip the d >= r ampleness bound")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,14 @@ cogenus never increases and prunes the enumeration: only alpha' and new
 contact multisets of total excess at most delta - I(alpha') - I(beta) can
 contribute.
 
-Evaluation is memoized in a SeveriTable.  Values are arbitrary-precision
+Evaluation is memoized in a SeveriTable.  Inside the recursion a tangency
+profile is a small int id, given once per process by a module-level intern
+table, and a memo key is one int packing (delta, alpha id, beta id); the
+degree is implied, d = I(alpha) + I(beta).  Per-id tables hold each
+profile's weight, canonical text and +-e_m neighbours, and the sub-profile
+and new-contact enumerations are memoized per id, so the hot loop hashes
+and stores plain ints.  SeveriKey, the cache text and the error messages
+translate at the table's boundary.  Values are arbitrary-precision
 integers; entries are write-once and recomputation must reproduce the
 identical value, so results are bit-identical no matter how concurrent
 callers are scheduled.
@@ -42,6 +49,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .series import PowerSeries
@@ -54,20 +62,21 @@ class ProfileWeightMismatchError(ValueError):
 
 
 class AmplenessThresholdError(ValueError):
-    """A requested coefficient violates the d >= 5r - 1 safety threshold."""
+    """A requested coefficient violates the proven ampleness bound d >= r."""
 
 
 # ----------------------------------------------------------------------
 # tangency profiles
 # A profile is a tuple of (m, count) pairs, multiplicities ascending and counts
-# positive.  The recursion works on these tuples; TangencyProfile validates
-# them at the API and cache boundary and delegates to the functions below.
-# _plus is the one function that makes a canonical profile.  It is memoized
-# (so its arguments must be tuples): equal operands give one tuple object, and
-# the memo keys share a few hundred profiles instead of holding their own copies.
+# positive.  TangencyProfile validates them at the API and cache boundary and
+# delegates to the functions below; _plus is the one function that makes a
+# canonical profile.  The recursion never sees the pairs: _intern gives each
+# distinct profile an int id, once per process and under a lock, and the per-id
+# lists below hold what the recursion reads.  A memo key packs
+# (delta, alpha id, beta id) into one int, so a few hundred profiles serve
+# tens of thousands of keys and every memo probe hashes a plain int.
 
 
-@lru_cache(maxsize=None)
 def _plus(pairs, other):
     """pairs + other, counts added by multiplicity; other's counts may be negative."""
     counts = dict(pairs)
@@ -93,6 +102,57 @@ def _sub_profiles(pairs, cap: int) -> list:
 
 def _tokens(pairs) -> str:
     return " ".join(f"{m}^{c}" for m, c in pairs) if pairs else "-"
+
+
+_ID_BITS = 24
+_ID_MASK = (1 << _ID_BITS) - 1
+_DELTA_SHIFT = 2 * _ID_BITS
+
+_ids: dict[tuple, int] = {}  # pairs -> id
+_pairs: list[tuple] = []  # id -> pairs
+_weight: list[int] = []  # id -> I(pairs)
+_text: list[str] = []  # id -> canonical tokens
+_up: list[dict] = []  # id -> {m: id of pairs + e_m}, filled on demand
+_down: list = []  # id -> ((m, id of pairs - e_m) for each m), None until needed
+_intern_lock = threading.Lock()
+
+
+def _intern(pairs) -> int:
+    """The id of a canonical profile, assigned on first sight."""
+    pid = _ids.get(pairs)
+    if pid is None:
+        with _intern_lock:
+            pid = _ids.get(pairs)
+            if pid is None:
+                pid = len(_pairs)
+                if pid > _ID_MASK:
+                    raise OverflowError("more tangency profiles than a memo key can pack")
+                _pairs.append(pairs)
+                _weight.append(sum(m * c for m, c in pairs))
+                _text.append(_tokens(pairs))
+                _up.append({})
+                _down.append(None)
+                # published last, so a reader that finds the id finds its rows
+                _ids[pairs] = pid
+    return pid
+
+
+def _raised(pid: int, m: int) -> int:
+    """The id of profile pid + e_m."""
+    up = _up[pid]
+    raised = up.get(m)
+    if raised is None:
+        raised = up[m] = _intern(_plus(_pairs[pid], ((m, 1),)))
+    return raised
+
+
+def _lowered(pid: int) -> tuple:
+    """(m, id of pid - e_m) for each multiplicity m of profile pid."""
+    down = _down[pid]
+    if down is None:
+        pairs = _pairs[pid]
+        down = _down[pid] = tuple((m, _intern(_plus(pairs, ((m, -1),)))) for m, _ in pairs)
+    return down
 
 
 @dataclass(frozen=True)
@@ -163,6 +223,7 @@ class TangencyProfile:
         return _tokens(self.pairs)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def parse(text: str) -> TangencyProfile:
         text = text.strip()
         if text in ("", "-"):
@@ -217,14 +278,19 @@ class SeveriKey:
         )
 
 
-def _flat(key: SeveriKey) -> tuple:
-    """The plain tuple (d, delta, alpha_pairs, beta_pairs) the recursion uses."""
-    return (key.d, key.delta, key.alpha.pairs, key.beta.pairs)
+def _flat(key: SeveriKey) -> int:
+    """The packed int (delta, alpha id, beta id) the recursion uses."""
+    return (
+        key.delta << _DELTA_SHIFT
+        | _intern(key.alpha.pairs) << _ID_BITS
+        | _intern(key.beta.pairs)
+    )
 
 
-def _canonical(flat: tuple) -> str:
-    d, delta, alpha, beta = flat
-    return f"{d}:{delta}:{_tokens(alpha)}|{_tokens(beta)}"
+def _canonical(flat: int) -> str:
+    alpha, beta = (flat >> _ID_BITS) & _ID_MASK, flat & _ID_MASK
+    d = _weight[alpha] + _weight[beta]
+    return f"{d}:{flat >> _DELTA_SHIFT}:{_text[alpha]}|{_text[beta]}"
 
 
 def _cache_format(path, line):
@@ -254,13 +320,13 @@ def _complete_length(fh) -> int:
 class SeveriTable:
     """Write-once memo table; concurrent reads, serialized idempotent writes.
 
-    Entries are keyed by plain tuples (see _flat); the public methods take
+    Entries are keyed by packed ints (see _flat); the public methods take
     SeveriKey.  hits and misses count top-level queries: a hit is a query
     answered from the table, a miss one that triggered computation.
     """
 
     def __init__(self):
-        self._entries: dict[tuple, int] = {}
+        self._entries: dict[int, int] = {}
         self._lock = threading.RLock()
         # entries are only removed all at once, by clear, so the ones already
         # on disk are the first _saved in insertion order
@@ -274,7 +340,7 @@ class SeveriTable:
     def put(self, key: SeveriKey, value: int):
         self._store(_flat(key), value)
 
-    def _store(self, flat: tuple, value: int):
+    def _store(self, flat: int, value: int):
         with self._lock:
             existing = self._entries.get(flat)
             if existing is None:
@@ -391,29 +457,52 @@ def _new_contacts(weight: int, max_excess: int):
         yield TangencyProfile(gamma), excess
 
 
-def _expand(key: tuple) -> tuple[int, list[tuple[int, tuple]]]:
-    """Base value plus the weighted subcalls of one recursion step."""
-    d, delta, alpha, beta = key
+@lru_cache(maxsize=None)
+def _sub_ids(pid: int, cap: int) -> tuple:
+    """(sub id, I(sub), binomial weight) for every sub <= profile pid with I(sub) <= cap."""
+    return tuple((_intern(sub), w, b) for sub, w, b in _sub_profiles(_pairs[pid], cap))
+
+
+@lru_cache(maxsize=None)
+def _gain_ids(pid: int, weight: int, slack: int) -> tuple:
+    """The degree-drop terms of unassigned profile beta = pid: for each new
+    contact profile gamma with I(gamma) = weight and excess <= slack, the
+    coefficient prod_m m^gamma[m] * binom(beta + gamma, beta) and the key of
+    (slack - excess, alpha' = 0, beta + gamma), to be or-ed with alpha'."""
+    beta = _pairs[pid]
+    counts = dict(beta)
+    out = []
+    for gamma, excess, power in _new_contact_pairs(weight, slack):
+        coeff = power
+        for m, c in gamma:
+            coeff *= math.comb(counts.get(m, 0) + c, c)
+        delta_p = slack - excess
+        out.append((coeff, delta_p << _DELTA_SHIFT | _intern(_plus(beta, gamma))))
+    return tuple(out)
+
+
+def _expand(key: int) -> tuple[int, list[int], list[int]]:
+    """Base value, dep coefficients and dep keys of one recursion step."""
+    delta = key >> _DELTA_SHIFT
+    alpha, beta = (key >> _ID_BITS) & _ID_MASK, key & _ID_MASK
+    ib = _weight[beta]
+    d = _weight[alpha] + ib
     if d == 1:
-        return (1 if delta == 0 else 0), []
-    deps: list[tuple[int, tuple]] = []
+        return (1 if delta == 0 else 0), [], []
+    coeffs: list[int] = []
+    deps: list[int] = []
     # promote one unassigned contact to an assigned one
-    for m, _ in beta:
-        deps.append((m, (d, delta, _plus(alpha, ((m, 1),)), _plus(beta, ((m, -1),)))))
-    # drop the degree by one
-    ib = sum(m * c for m, c in beta)
-    beta_counts = dict(beta)
-    for alpha_p, ia, ca in _sub_profiles(alpha, min(delta - ib, d - 1 - ib)):
-        slack = delta - ia - ib
-        for gamma, excess, power in _new_contact_pairs(d - 1 - ia - ib, slack):
-            delta_p = slack - excess
-            assert 0 <= delta_p <= delta
-            # binom(beta', beta) with beta' = beta + gamma
-            coeff = ca * power
-            for m, c in gamma:
-                coeff *= math.comb(beta_counts.get(m, 0) + c, c)
-            deps.append((coeff, (d - 1, delta_p, alpha_p, _plus(beta, gamma))))
-    return 0, deps
+    same_delta = delta << _DELTA_SHIFT
+    for m, lowered in _lowered(beta):
+        coeffs.append(m)
+        deps.append(same_delta | _raised(alpha, m) << _ID_BITS | lowered)
+    # drop the degree by one; delta' = delta - I(alpha') - I(beta) - excess >= 0
+    for alpha_p, ia, ca in _sub_ids(alpha, min(delta - ib, d - 1 - ib)):
+        shifted = alpha_p << _ID_BITS
+        for coeff, part in _gain_ids(beta, d - 1 - ia - ib, delta - ia - ib):
+            coeffs.append(ca * coeff)
+            deps.append(part | shifted)
+    return 0, coeffs, deps
 
 
 def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
@@ -426,24 +515,23 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
         table.hits += 1
         return entries[key]
     table.misses += 1
-    expansions: dict[tuple, tuple[int, list]] = {}
-    stack = [key]
+    # a key with missing deps goes back on the stack as (key, base, coeffs, deps)
+    # under them, and is summed when it comes up again: its deps are then stored
+    stack: list = [key]
     while stack:
-        top = stack[-1]
-        if top in entries:
-            stack.pop()
+        top = stack.pop()
+        if isinstance(top, tuple):
+            top, base, coeffs, deps = top
+        elif top in entries:
             continue
-        expansion = expansions.get(top)
-        if expansion is None:
-            expansion = expansions[top] = _expand(top)
-        base, deps = expansion
-        missing = [sub for _, sub in deps if sub not in entries]
-        if missing:
-            stack.extend(missing)
-            continue
-        table._store(top, base + sum(c * entries[sub] for c, sub in deps))
-        del expansions[top]
-        stack.pop()
+        else:
+            base, coeffs, deps = _expand(top)
+            missing = [sub for sub in deps if sub not in entries]
+            if missing:
+                stack.append((top, base, coeffs, deps))
+                stack += missing
+                continue
+        table._store(top, base + sum(map(mul, coeffs, map(entries.__getitem__, deps))))
     return entries[key]
 
 
@@ -457,19 +545,21 @@ def severi(d: int, delta: int, table: SeveriTable) -> int:
 
 
 def check_threshold(d: int, order: int, unsafe: bool):
-    """Enforce d >= 5r - 1 for every r <= order unless explicitly overridden."""
-    if unsafe:
-        return
-    for r in range(1, order + 1):
-        if d < 5 * r - 1:
-            raise AmplenessThresholdError(
-                f"degree {d} is below the safety threshold 5r-1 = {5 * r - 1} for r = {r}; "
-                f"pass unsafe to override"
-            )
+    """Enforce the ampleness bound d >= r for every r <= order unless overridden.
+
+    O(d) on the plane is d-very ample, and T_r counts the r-nodal curves of an
+    r-very ample line bundle (Kool-Shende-Thomas, A short proof of the
+    Gottsche conjecture, Geom. Topol. 2011), so N(d, r) = T_r(plane(d)) once
+    d >= r."""
+    if not unsafe and d < order:
+        raise AmplenessThresholdError(
+            f"degree {d} is below the ampleness bound d >= r for r = {d + 1}; "
+            f"pass unsafe to override"
+        )
 
 
 def p2_series(d: int, order: int, table: SeveriTable, unsafe: bool = False) -> PowerSeries:
-    """sum_{r <= order} N(d, r) x^r, guarded by the ampleness threshold."""
+    """sum_{r <= order} N(d, r) x^r, guarded by the ampleness bound."""
     check_threshold(d, order, unsafe)
     return PowerSeries.of([severi(d, r, table) for r in range(order + 1)], "x")
 

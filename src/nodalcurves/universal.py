@@ -51,7 +51,7 @@ class FitConfig:
     """Inputs of the multiplicative fit.
 
     Two plane degrees and two primitive K3 squares; the degrees must honor
-    d >= 5r - 1 for every fitted order r unless unsafe is set.
+    the ampleness bound d >= r for every fitted order r unless unsafe is set.
     """
 
     order: int
@@ -87,7 +87,7 @@ class FitConfig:
 
 
 def default_config(order: int, unsafe: bool = False) -> FitConfig:
-    """Smallest threshold-safe degrees, (9, 10) up to order two, (14, 15) at three."""
+    """Degrees max(9, 5r - 1) and one more: (9, 10) up to order two, (14, 15) at three."""
     d1 = max(9, 5 * order - 1)
     return FitConfig(order=order, d1=d1, d2=d1 + 1, unsafe=unsafe)
 

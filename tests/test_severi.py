@@ -1,6 +1,10 @@
 """Caporaso-Harris recursion: classical counts, tangency cases, node polynomials."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -168,6 +172,23 @@ def test_memo_statistics_move():
     assert local.stats()["hits"] > stats["hits"]
 
 
+def test_memo_key_set_is_pinned():
+    # the keys the recursion creates, pinned by count and by the sha256 of
+    # the sorted key texts of severi(6, 2)
+    from nodalcurves.severi import _canonical
+
+    local = SeveriTable()
+    severi(12, 3, local)
+    assert len(local) == 1314
+    local = SeveriTable()
+    severi(6, 2, local)
+    texts = "\n".join(sorted(_canonical(key) for key in local._entries))
+    assert (
+        hashlib.sha256(texts.encode()).hexdigest()
+        == "43920305114cb0c266da219aa87bb076243341efc8bade85893875001025d1a8"
+    )
+
+
 def test_parallel_matches_sequential(table):
     pairs = [(d, k) for d in range(2, 11) for k in range(0, 3)]
     sequential = [severi(d, k, table) for d, k in pairs]
@@ -247,19 +268,19 @@ def test_cache_save_onto_a_header_that_is_not_json_names_the_file(tmp_path):
     assert path.read_text() == "garbage\n"
 
 
-def _profile_objects(table):
-    return {id(profile) for key in table._entries for profile in key[2:]}
-
-
 def test_memo_keys_share_their_profiles(tmp_path):
+    # a memo key packs (delta, alpha id, beta id); both ids name interned profiles
+    from nodalcurves.severi import _ID_BITS, _ID_MASK, _ids, _pairs
+
     local = SeveriTable()
     severi(12, 3, local)
-    assert len(_profile_objects(local)) < len(local) // 4
+    for key in local._entries:
+        for pid in ((key >> _ID_BITS) & _ID_MASK, key & _ID_MASK):
+            assert _ids[_pairs[pid]] == pid
     path = tmp_path / "cache.jsonl"
     local.save(path)
     loaded = SeveriTable.load(path)
-    distinct = {profile for key in loaded._entries for profile in key[2:]}
-    assert len(_profile_objects(loaded)) == len(distinct)
+    assert set(loaded._entries) == set(local._entries)
 
 
 def test_cache_file_bytes_are_pinned(tmp_path):
@@ -293,10 +314,11 @@ def test_p2_series_degree_nine(table):
 
 
 def test_p2_series_threshold(table):
-    with pytest.raises(AmplenessThresholdError, match="r = 2"):
-        p2_series(5, 2, table)
-    unsafe = p2_series(5, 2, table, unsafe=True)
-    assert unsafe.coeff(1) == 48
+    with pytest.raises(AmplenessThresholdError, match="r = 3"):
+        p2_series(2, 3, table)
+    unsafe = p2_series(2, 3, table, unsafe=True)
+    assert unsafe.coeff(1) == 3
+    assert p2_series(3, 3, table).coeff(3) == 15
 
 
 def test_node_poly_delta_one(table):
@@ -332,6 +354,38 @@ def test_overlapping_concurrent_computation():
     assert results[:4] == [expected] * 4
     for (d, k), value in zip(jobs, results):
         assert value == severi(d, k, sequential)
+
+
+_PARALLEL_FILL = """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from nodalcurves.severi import SeveriTable, _ids, _pairs, severi
+
+sys.setswitchinterval(1e-6)  # switch threads often, so an unlocked intern would race
+jobs = [(12, 3)] * 4 + [(d, k) for d in range(2, 12) for k in range(0, 4)]
+shared = SeveriTable()
+with ThreadPoolExecutor(max_workers=8) as pool:
+    list(pool.map(lambda p: severi(p[0], p[1], shared), jobs))
+shared.save(sys.argv[1])
+print(len(shared), all(_ids[pairs] == pid for pid, pairs in enumerate(_pairs)))
+"""
+
+
+def test_parallel_fill_interns_each_profile_once(tmp_path):
+    # a fresh interpreter, so the eight workers meet every profile for the first time
+    path = tmp_path / "cache.jsonl"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARALLEL_FILL, str(path)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    sequential = SeveriTable()
+    for d, k in [(12, 3)] + [(d, k) for d in range(2, 12) for k in range(0, 4)]:
+        severi(d, k, sequential)
+    assert proc.stdout.split() == [str(len(sequential)), "True"]
+    lines = path.read_text().splitlines()[1:]
+    assert len({json.loads(line)["key"] for line in lines}) == len(lines) == len(sequential)
 
 
 # ----------------------------------------------------------------------

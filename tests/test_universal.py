@@ -65,8 +65,9 @@ def test_config_rejects_bad_k3_squares():
 
 def test_config_enforces_threshold():
     with pytest.raises(AmplenessThresholdError):
-        FitConfig(order=2, d1=5, d2=6)
-    FitConfig(order=2, d1=5, d2=6, unsafe=True)
+        FitConfig(order=3, d1=2, d2=4)
+    FitConfig(order=3, d1=2, d2=4, unsafe=True)
+    FitConfig(order=3, d1=3, d2=4)
 
 
 def test_default_config_degrees():
@@ -150,6 +151,16 @@ def test_basis_independence(fit2, table):
         assert mine == theirs
     for mine, theirs in zip(fit2.log_a, other.log_a):
         assert mine == theirs
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_fit_at_the_ampleness_bound_matches_the_old_degrees(order, table):
+    # d >= r suffices (Kool-Shende-Thomas): the fit at (M, M + 1) equals the
+    # fit at (5M - 1, 5M), series by series
+    low = fit_A(FitConfig(order=order, d1=order, d2=order + 1), table)
+    high = fit_A(FitConfig(order=order, d1=5 * order - 1, d2=5 * order), table)
+    assert low.log_a == high.log_a
+    assert low.a == high.a
 
 
 def test_mismatched_fit_is_reported(table):
