@@ -10,15 +10,17 @@ Every JSON document embeds a schema version and echoes the mathematical
 parameters of the run, so a run is reproducible from its own output.  The
 timestamp is the only nondeterministic field and --no-timestamp suppresses
 it; execution details (threads, cache path, output format) do not affect
-results and are not echoed.  Exit codes: 0 success, 2 validation error,
-3 mathematical inconsistency detected.
+results and are not echoed.  Only the six subcommands that open a Severi
+table (severi, severi-table, fit, evaluate, genus-series, validate) take
+--cache, the one way to name the append-only cache file, and --threads,
+which is accepted and ignored.  Exit codes: 0 success, 2 validation error
+(including an unusable --cache path), 3 mathematical inconsistency detected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -49,30 +51,19 @@ from .universal import (
 )
 
 SCHEMA_VERSION = "1"
-CACHE_ENV_VAR = "NODALCURVES_CACHE"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 
 
-class CliError(ValueError):
-    pass
-
-
-def _cache_path(args) -> str | None:
-    return args.cache or os.environ.get(CACHE_ENV_VAR)
-
-
 def _load_table(args) -> SeveriTable:
-    path = _cache_path(args)
-    return SeveriTable.load(path) if path else SeveriTable()
+    return SeveriTable.load(args.cache) if args.cache else SeveriTable()
 
 
 def _save_table(args, table: SeveriTable):
-    path = _cache_path(args)
-    if path:
-        table.save(path)
+    if args.cache:
+        table.save(args.cache)
 
 
 def _precompute(table: SeveriTable, pairs):
@@ -81,16 +72,24 @@ def _precompute(table: SeveriTable, pairs):
         severi(d, delta, table)
 
 
+def _ints(text: str, count: int, flag: str) -> list[int]:
+    """The comma-separated integers of a flag's value; exactly count of them."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"{flag} takes {count} comma-separated integers, got {text!r}")
+    return values
+
+
 def _fit_config(args) -> FitConfig:
-    if args.degrees:
-        d1, d2 = (int(x) for x in args.degrees.split(","))
+    if args.degrees is not None:
+        d1, d2 = _ints(args.degrees, 2, "--degrees")
     else:
         base = default_config(args.order)
         d1, d2 = base.d1, base.d2
-    if args.k3:
-        s1, s2 = (int(x) for x in args.k3.split(","))
-    else:
-        s1, s2 = 2, 4
+    s1, s2 = _ints(args.k3, 2, "--k3")
     return FitConfig(order=args.order, d1=d1, d2=d2, s1=s1, s2=s2, unsafe=args.unsafe)
 
 
@@ -129,7 +128,7 @@ def cmd_severi(args) -> tuple[str, int]:
     else:
         remaining = args.d - alpha.weight
         if remaining < 0:
-            raise CliError("alpha already exceeds the degree")
+            raise ValueError("alpha already exceeds the degree")
         beta = TangencyProfile.simple(remaining)
     key = SeveriKey(args.d, args.delta, alpha, beta)
     value = severi_relative(key, table)
@@ -216,8 +215,8 @@ def cmd_decompose(args) -> tuple[str, int]:
 
 
 def cmd_close_relation(args) -> tuple[str, int]:
-    v1 = PairClass(*(int(x) for x in args.v1.split(",")))
-    v2 = PairClass(*(int(x) for x in args.v2.split(",")))
+    v1 = PairClass(*_ints(args.v1, 4, "--v1"))
+    v2 = PairClass(*_ints(args.v2, 4, "--v2"))
     dpd = DoublePointData(gD=args.gD, degLD=args.degLD)
     v3, v0 = close_relation(v1, v2, dpd)
     config = {
@@ -275,14 +274,20 @@ def cmd_forms(args) -> tuple[str, int]:
 def _add_common(parser: argparse.ArgumentParser, formats=("json",)):
     """The flags every subcommand takes; --output offers formats, the first the default."""
     parser.add_argument("--output", choices=formats, default=formats[0])
-    parser.add_argument("--cache", default=None, help=f"cache file (or env {CACHE_ENV_VAR})")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--no-timestamp", action="store_true")
 
 
+def _add_table_flags(parser: argparse.ArgumentParser):
+    """The flags of the subcommands that open a Severi table."""
+    parser.add_argument("--cache", default=None, help="append-only Severi cache file")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+
+
 def _add_fit_params(parser: argparse.ArgumentParser):
+    """The fit's inputs; every subcommand that fits also opens a Severi table."""
+    _add_table_flags(parser)
     parser.add_argument("--degrees", default=None, help="two plane degrees, e.g. 9,10")
-    parser.add_argument("--k3", default=None, help="two even K3 squares, e.g. 2,4")
+    parser.add_argument("--k3", default="2,4", help="two even K3 squares (default 2,4)")
     parser.add_argument("--unsafe", action="store_true", help="skip the d >= r ampleness bound")
 
 
@@ -299,12 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None, help='assigned contacts, e.g. "1^2,2^1"')
     p.add_argument("--beta", default=None, help="unassigned contacts; defaults to transverse")
     _add_common(p, ("json", "pretty"))
+    _add_table_flags(p)
     p.set_defaults(handler=cmd_severi)
 
     p = sub.add_parser("severi-table", help="CSV or JSON table of plain Severi degrees")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--deltamax", type=int, required=True)
     _add_common(p, ("csv", "json"))
+    _add_table_flags(p)
     p.set_defaults(handler=cmd_severi_table)
 
     p = sub.add_parser("fit", help="solve for A1..A4, B1..B4 and the polynomials T_r")
@@ -371,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, status = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         error = {"error": {"code": EXIT_VALIDATION, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return EXIT_VALIDATION
@@ -384,8 +391,4 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

@@ -209,8 +209,12 @@ def close_relation(
 
 
 def is_basis(vectors) -> bool:
-    """Whether four vectors span: the exact 4x4 determinant is nonzero."""
+    """Whether four vectors span: the exact 4x4 system has a unique solution."""
     rows = [v.as_tuple() for v in vectors]
     if len(rows) != 4:
         raise ValueError("a basis test needs exactly four vectors")
-    return linalg.determinant(rows) != 0
+    try:
+        linalg.solve(rows, [0] * 4)
+    except linalg.SingularMatrixError:
+        return False
+    return True

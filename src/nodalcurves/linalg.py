@@ -1,6 +1,6 @@
-"""Small exact linear algebra over the rationals: solve and determinant.
+"""Small exact linear algebra over the rationals: solve.
 
-Both run on one Gaussian elimination with pivot search.  The matrix stays in
+Gaussian elimination with pivot search.  The matrix stays in
 fractions.Fraction, so there is no conditioning to worry about, only
 singularity.
 """
@@ -14,25 +14,23 @@ class SingularMatrixError(ValueError):
     """The system has no unique solution."""
 
 
-def _eliminate(matrix, rhs):
-    """Forward elimination of matrix * x = rhs.
+def solve(matrix, rhs) -> list:
+    """Solve matrix * x = rhs exactly; raises SingularMatrixError if singular.
 
-    Returns the upper-triangular rows, the right-hand side reduced alongside
-    them, and the sign of the row swaps made."""
+    The matrix is coerced to Fraction.  The right-hand side entries are used
+    as given: any exact values with +, -, and * and / by a Fraction, such as
+    Fractions or PowerSeries (which solves every coefficient at once)."""
     n = len(matrix)
     m = [[Fraction(x) for x in row] for row in matrix]
     b = list(rhs)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("linear algebra needs a square system")
-    sign = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError(f"singular matrix (no pivot in column {col})")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            b[col], b[pivot] = b[pivot], b[col]
-            sign = -sign
+        m[col], m[pivot] = m[pivot], m[col]
+        b[col], b[pivot] = b[pivot], b[col]
         inv = 1 / m[col][col]
         for r in range(col + 1, n):
             if m[r][col] == 0:
@@ -41,32 +39,10 @@ def _eliminate(matrix, rhs):
             for c in range(col, n):
                 m[r][c] -= factor * m[col][c]
             b[r] -= factor * b[col]
-    return m, b, sign
-
-
-def solve(matrix, rhs) -> list:
-    """Solve matrix * x = rhs exactly; raises SingularMatrixError if singular.
-
-    The matrix is coerced to Fraction.  The right-hand side entries are used
-    as given: any exact values with +, -, and * and / by a Fraction, such as
-    Fractions or PowerSeries (which solves every coefficient at once)."""
-    m, b, _ = _eliminate(matrix, rhs)
-    x = [None] * len(m)
-    for r in range(len(m) - 1, -1, -1):
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
         acc = b[r]
-        for c in range(r + 1, len(m)):
+        for c in range(r + 1, n):
             acc -= m[r][c] * x[c]
         x[r] = acc / m[r][r]
     return x
-
-
-def determinant(matrix) -> Fraction:
-    """The signed product of the pivots; 0 for a singular matrix."""
-    try:
-        m, _, sign = _eliminate(matrix, [0] * len(matrix))
-    except SingularMatrixError:
-        return Fraction(0)
-    det = Fraction(sign)
-    for r, row in enumerate(m):
-        det *= row[r]
-    return det

@@ -131,15 +131,3 @@ class FormCatalog:
             "d2g2": self.d2g2.to_json_dict(),
             "delta": self.delta.to_json_dict(),
         }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> FormCatalog:
-        if doc.get("format") != FORMS_FORMAT_VERSION:
-            raise SeriesError(f"unsupported forms format: {doc.get('format')!r}")
-        return FormCatalog(
-            order=doc["order"],
-            g2=PowerSeries.from_json_dict(doc["g2"]),
-            dg2=PowerSeries.from_json_dict(doc["dg2"]),
-            d2g2=PowerSeries.from_json_dict(doc["d2g2"]),
-            delta=PowerSeries.from_json_dict(doc["delta"]),
-        )

@@ -364,10 +364,3 @@ class PowerSeries:
             "order": self.order,
             "var": self.var,
         }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> PowerSeries:
-        coeffs = tuple(Fraction(c) for c in doc["coeffs"])
-        if len(coeffs) != doc["order"] + 1:
-            raise SeriesError("series document order does not match coefficient count")
-        return PowerSeries(coeffs, doc.get("var", "q"))

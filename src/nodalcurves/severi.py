@@ -451,12 +451,6 @@ def _new_contact_pairs(weight: int, max_excess: int) -> tuple:
     return tuple(out)
 
 
-def _new_contacts(weight: int, max_excess: int):
-    """Yields (gamma, excess) for I(gamma) = weight and excess <= max_excess."""
-    for gamma, excess, _ in _new_contact_pairs(weight, max_excess):
-        yield TangencyProfile(gamma), excess
-
-
 @lru_cache(maxsize=None)
 def _sub_ids(pid: int, cap: int) -> tuple:
     """(sub id, I(sub), binomial weight) for every sub <= profile pid with I(sub) <= cap."""

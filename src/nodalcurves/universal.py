@@ -86,10 +86,10 @@ class FitConfig:
         }
 
 
-def default_config(order: int, unsafe: bool = False) -> FitConfig:
+def default_config(order: int) -> FitConfig:
     """Degrees max(9, 5r - 1) and one more: (9, 10) up to order two, (14, 15) at three."""
     d1 = max(9, 5 * order - 1)
-    return FitConfig(order=order, d1=d1, d2=d1 + 1, unsafe=unsafe)
+    return FitConfig(order=order, d1=d1, d2=d1 + 1)
 
 
 @dataclass(frozen=True)

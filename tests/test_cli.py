@@ -1,4 +1,4 @@
-"""Command-line interface: documents, exit codes, determinism, cache."""
+"""Command-line interface: documents, exit codes, determinism, cache, flags."""
 
 import hashlib
 import json
@@ -13,11 +13,9 @@ from nodalcurves import SeveriTable
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "nodalcurves", *args],
         capture_output=True,
@@ -283,14 +281,52 @@ def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
-def test_cache_env_variable(tmp_path):
-    cache = tmp_path / "env-table.jsonl"
-    proc = run_cli(
-        "severi", "--d", "4", "--delta", "1", "--no-timestamp",
-        env_extra={"NODALCURVES_CACHE": str(cache)},
-    )
-    assert proc.returncode == 0
-    assert cache.exists()
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unusable_cache_path_exits_2(tmp_path, where):
+    cache = tmp_path / "missing" / "table.jsonl" if where == "missing-directory" else tmp_path
+    proc = run_cli("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert str(cache) in json.loads(proc.stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("forms", "--order", "2", "--cache"),
+        ("close-relation", "--v1", "1,-3,8,4", "--v2", "0,0,9,3", "--gD", "0", "--degLD", "0",
+         "--cache"),
+        ("decompose", "--L2", "1", "--LK", "-3", "--c1sq", "9", "--c2", "3", "--threads"),
+    ],
+    ids=["forms-cache", "close-relation-cache", "decompose-threads"],
+)
+def test_table_flags_are_refused_where_no_table_opens(tmp_path, args):
+    cache = tmp_path / "table.jsonl"
+    proc = run_cli(*args, str(cache) if args[-1] == "--cache" else "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("close-relation", "--v1", "1,-3,8", "--v2", "0,0,9,3", "--gD", "0", "--degLD", "0"),
+         "--v1"),
+        (("close-relation", "--v1", "1,-3,8,4", "--v2", "0,0,9,3,1", "--gD", "0", "--degLD", "0"),
+         "--v2"),
+        (("fit", "--order", "1", "--degrees", "9"), "--degrees"),
+        (("fit", "--order", "1", "--degrees", ""), "--degrees"),
+        (("fit", "--order", "1", "--k3", "2,4,6"), "--k3"),
+        (("validate", "--d", "11", "--order", "1", "--k3", "2,x"), "--k3"),
+    ],
+    ids=["v1-short", "v2-long", "degrees-one", "degrees-empty", "k3-three", "k3-not-int"],
+)
+def test_wrong_length_vector_exits_2_naming_the_flag(args, flag):
+    proc = run_cli(*args, "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_missing_required_flag_exits_2():

@@ -1,11 +1,11 @@
-"""Exact linear algebra: solve, determinant, singular and malformed systems."""
+"""Exact linear algebra: solve, singular and malformed systems."""
 
 from fractions import Fraction
 
 import pytest
 
 from nodalcurves import PowerSeries
-from nodalcurves.linalg import SingularMatrixError, determinant, solve
+from nodalcurves.linalg import SingularMatrixError, solve
 
 F = Fraction
 
@@ -26,12 +26,6 @@ def test_solve_singular_raises():
 def test_solve_non_square_raises():
     with pytest.raises(ValueError):
         solve([[1, 2, 3], [4, 5, 6]], [F(1), F(2)])
-
-
-def test_determinant_of_a_swap_and_of_a_singular_matrix():
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[1, 2], [2, 4]]) == 0
-    assert determinant(SWAP) == -8
 
 
 def test_solve_with_series_right_hand_sides():

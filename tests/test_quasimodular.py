@@ -156,16 +156,6 @@ def test_form_catalog_build_and_roundtrip():
     assert catalog.dg2.diff_d() == catalog.d2g2
     doc = catalog.to_json_dict()
     assert doc["format"] == "forms-1"
-    back = FormCatalog.from_json_dict(doc)
-    assert back.g2.coeffs == catalog.g2.coeffs
-    assert back.delta.coeffs == catalog.delta.coeffs
-
-
-def test_form_catalog_rejects_unknown_format():
-    doc = FormCatalog.build(2).to_json_dict()
-    doc["format"] = "forms-999"
-    with pytest.raises(SeriesError):
-        FormCatalog.from_json_dict(doc)
 
 
 def test_form_catalog_rejects_inconsistent_chain():

@@ -464,11 +464,11 @@ def _naive(key, memo):
 
 
 def test_new_contact_enumeration_matches_raw_partitions():
-    from nodalcurves.severi import _new_contacts
+    from nodalcurves.severi import _new_contact_pairs
 
     for weight in range(0, 9):
         for cap in range(0, 5):
-            generated = {(g, e) for g, e in _new_contacts(weight, cap)}
+            generated = {(TangencyProfile(g), e) for g, e, _ in _new_contact_pairs(weight, cap)}
             expected = set()
             for parts in _partitions_of(weight):
                 profile = _profile_of_parts(parts)
