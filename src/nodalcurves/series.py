@@ -11,6 +11,13 @@ Coefficients are fractions.Fraction values, hence always in lowest terms
 with positive denominator.  Series are immutable after construction and all
 operations are pure, so values can be shared freely between threads.
 
+Products and quotients run on integer kernels: each operand is written once
+as integer numerators over the lcm of its denominators, the convolution or
+division recurrence runs over Python ints, and one Fraction is built per
+output coefficient.  log is the integral of f'/f through the division
+kernel, and pow with an integral exponent is binary powering (Brent and
+Kung, Fast algorithms for manipulating formal power series, J. ACM 1978).
+
 The variable tag ("q", "x", ...) is documentation only; it is carried along
 but never consulted by the arithmetic.
 """
@@ -19,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 class SeriesError(ValueError):
@@ -45,6 +54,29 @@ def _fraction(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
+def _numerators(coeffs, m: int) -> tuple[list[int], int]:
+    """Integer numerators of coeffs[0..m] over the lcm of their denominators."""
+    head = coeffs[: m + 1]
+    den = lcm(*(c.denominator for c in head))
+    return [c.numerator * (den // c.denominator) for c in head], den
+
+
+def _quotient_numerators(f: list[int], g: list[int]) -> list[int]:
+    """num[n] = g[0]^(n+1) * [t^n](f/g) for integer f and g of equal length.
+
+    From f = g*h: num[n] = f[n]*g0^n - sum_{k=1..n} g[k]*g0^(k-1) * num[n-k],
+    all in integers; g[0] must be nonzero.
+    """
+    g0 = g[0]
+    scaled = [gk * g0 ** (k - 1) for k, gk in enumerate(g) if k]  # g[k]*g0^(k-1)
+    num = []
+    power = 1  # g0^n
+    for fn in f:
+        num.append(fn * power - sum(map(mul, scaled, reversed(num))))
+        power *= g0
+    return num
+
+
 _VAR_SWAP = {"q": "x", "x": "q"}
 
 
@@ -58,7 +90,7 @@ class PowerSeries:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise SeriesError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(_fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_fraction, self.coeffs)))
 
     # ------------------------------------------------------------------
     # constructors
@@ -177,36 +209,40 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             m = self._common(other)
-            a, b = self.coeffs, other.coeffs
-            out = [Fraction(0)] * (m + 1)
-            for i in range(m + 1):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(m + 1 - i):
-                    bj = b[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-            return PowerSeries(tuple(out), self.var)
+            a, da = _numerators(self.coeffs, m)
+            b, db = _numerators(other.coeffs, m)
+            den = da * db
+            b.reverse()  # b[m - j] is now b_j, so [t^n] pairs a with b[m-n:]
+            return PowerSeries(
+                tuple(
+                    Fraction(sum(map(mul, a, b[m - n :])), den)
+                    for n in range(m + 1)
+                ),
+                self.var,
+            )
         s = _fraction(other)
         return PowerSeries(tuple(c * s for c in self.coeffs), self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """f/g for g with nonzero constant term.
+
+        With f = F/df and g = G/dg over integer numerators, the division
+        kernel gives num[n] = G0^(n+1) * [t^n](F/G), so the quotient's
+        coefficient n is num[n]*dg / (df*G0^(n+1)).
+        """
         if isinstance(other, PowerSeries):
             m = self._common(other)
-            g = other.coeffs
-            if g[0] == 0:
+            if other.coeffs[0] == 0:
                 raise NonUnitDivisorError("non-unit divisor: constant term is zero")
-            f = self.coeffs
-            out = [Fraction(0)] * (m + 1)
-            for n in range(m + 1):
-                acc = f[n]
-                for k in range(1, n + 1):
-                    if g[k] != 0:
-                        acc -= g[k] * out[n - k]
-                out[n] = acc / g[0]
+            f, df = _numerators(self.coeffs, m)
+            g, dg = _numerators(other.coeffs, m)
+            num = _quotient_numerators(f, g)
+            out, den = [], df
+            for x in num:
+                den *= g[0]
+                out.append(Fraction(x * dg, den))
             return PowerSeries(tuple(out), self.var)
         s = _fraction(other)
         if s == 0:
@@ -240,30 +276,42 @@ class PowerSeries:
         return PowerSeries(tuple(out), self.var)
 
     def log(self) -> PowerSeries:
-        """log(f) for f with constant term one."""
+        """log(f) for f with constant term one, as the integral of f'/f.
+
+        f and f' share f's denominator, so the division kernel runs on f's
+        integer numerators F: coefficient n of log f is
+        num[n-1] / (n * F0^n) with num the kernel's numerators of F'/F.
+        """
         f = self.coeffs
         if f[0] != 1:
             raise NormalizationError(
                 f"normalization error: log needs constant term 1, got {f[0]}"
             )
         m = self.order
-        out = [Fraction(0)] * (m + 1)
-        # n*f_n = sum_{k=1..n} k*L_k*f_{n-k}, from f' = L'f
-        for n in range(1, m + 1):
-            acc = Fraction(n) * f[n]
-            for k in range(1, n):
-                if out[k] != 0 and f[n - k] != 0:
-                    acc -= k * out[k] * f[n - k]
-            out[n] = acc / n
+        if m == 0:
+            return PowerSeries.zero(0, self.var)
+        nums, d = _numerators(f, m)  # F0 = nums[0] = d since f[0] = 1
+        derivative = [n * nums[n] for n in range(1, m + 1)]
+        num = _quotient_numerators(derivative, nums[:m])
+        out, den = [Fraction(0)], 1
+        for n, x in enumerate(num, 1):
+            den *= d
+            out.append(Fraction(x, n * den))
         return PowerSeries(tuple(out), self.var)
 
     def pow(self, e) -> PowerSeries:
-        """f**e for rational e; requires constant term one."""
+        """f**e for rational e; requires constant term one.
+
+        An integral e is binary powering through __pow__; any other e is
+        exp(e * log f).
+        """
         e = _fraction(e)
         if self.coeffs[0] != 1:
             raise NormalizationError(
                 f"normalization error: pow needs constant term 1, got {self.coeffs[0]}"
             )
+        if e.denominator == 1:
+            return self ** e.numerator
         return (self.log() * e).exp()
 
     def __pow__(self, e):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .cobordism import PairClass, k3_primitive, plane
@@ -103,6 +104,11 @@ class MultiplicativeFit:
     @property
     def order(self) -> int:
         return self.config.order
+
+    @cached_property
+    def polynomials(self) -> tuple[UniversalPolynomial, ...]:
+        """T_0..T_order, read off one set of partial products (see universal_T)."""
+        return _universal_polynomials(self)
 
 
 def k3_series_in_x(s: int, order: int) -> PowerSeries:
@@ -186,30 +192,42 @@ def universal_T(r: int, fit: MultiplicativeFit) -> UniversalPolynomial:
     four weights y_i kept as formal variables.
 
     exp(sum_i y_i L_i) = prod_i sum_k y_i^k L_i^k / k!, so the coefficient of
-    y^e is [x^r] prod_i L_i^(e_i) / e_i!, read off series products."""
+    y^e is [x^r] prod_i L_i^(e_i) / e_i!.  The partial products are built
+    once per fit, at the fit's order, and every T_r is read off them."""
     if r > fit.order:
         raise FitConfigError(f"T_{r} needs fit order >= {r}, have {fit.order}")
-    # powers[i][k] = L_i^k / k!; L_i has no constant term, so k <= r suffices
+    return fit.polynomials[r]
+
+
+def _universal_polynomials(fit: MultiplicativeFit) -> tuple[UniversalPolynomial, ...]:
+    m = fit.order
+    # powers[i][k] = (L_i/x)^k / k! through x^(m-k); L_i has no constant term,
+    # so prod_i L_i^(e_i) / e_i! is x^|e| times a product of these
     powers = []
     for log_series in fit.log_a:
-        log_series = log_series.truncate(r)
-        row = [PowerSeries.one(r, log_series.var)]
-        for k in range(1, r + 1):
-            row.append(row[-1] * log_series / k)
+        row = [PowerSeries.one(m, log_series.var)]
+        if m:
+            over_x = log_series.shift_down(1)
+            for k in range(1, m + 1):
+                row.append(row[-1].truncate(m - k) * over_x / k)
         powers.append(row)
-    terms = []  # filled in lexicographic order of the exponents
-    for e0 in range(r + 1):
-        for e1 in range(r + 1 - e0):
-            p01 = powers[0][e0] * powers[1][e1] if e1 else powers[0][e0]
-            for e2 in range(r + 1 - e0 - e1):
-                p012 = (p01 * powers[2][e2] if e2 else p01).coeffs
-                low = e0 + e1 + e2  # p012 has no terms below x^low
-                for e3 in range(r + 1 - low):
-                    p3 = powers[3][e3].coeffs
-                    c = sum(p012[j] * p3[r - j] for j in range(low, r + 1 - e3))
-                    if c:
-                        terms.append(((e0, e1, e2, e3), c))
-    return UniversalPolynomial(r=r, terms=tuple(terms))
+
+    def times(p: PowerSeries, i: int, e: int, low: int) -> PowerSeries:
+        """p * powers[i][e] through x^(m - low - e), where x^low is p's shift."""
+        return p.truncate(m - low - e) * powers[i][e] if e else p
+
+    terms = [[] for _ in range(m + 1)]  # per r, in lexicographic order of the exponents
+    for e0 in range(m + 1):
+        for e1 in range(m + 1 - e0):
+            p01 = times(powers[0][e0], 1, e1, e0)
+            for e2 in range(m + 1 - e0 - e1):
+                p012 = times(p01, 2, e2, e0 + e1)
+                low = e0 + e1 + e2
+                for e3 in range(m + 1 - low):
+                    for r, c in enumerate(times(p012, 3, e3, low).coeffs, low + e3):
+                        if c:
+                            terms[r].append(((e0, e1, e2, e3), c))
+    return tuple(UniversalPolynomial(r=r, terms=tuple(t)) for r, t in enumerate(terms))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Power series ring, transcendental operations, composition and reversion."""
 
+import hashlib
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given
 
 from nodalcurves import (
+    FormCatalog,
     NonUnitDivisorError,
     NormalizationError,
     PowerSeries,
     ValuationError,
+    genus_series,
 )
 
 F = Fraction
@@ -238,6 +241,111 @@ def test_diff_d_leibniz(f, g):
     assert (f * g).diff_d() == f.diff_d() * g + f * g.diff_d()
 
 
-@given(unit_st, st.integers(min_value=0, max_value=6))
+@given(unit_st, st.integers(min_value=-3, max_value=6))
 def test_integer_and_rational_pow_paths_agree(f, n):
-    assert f**n == f.pow(F(n))
+    # binary powering against exp(n log f), the route of a non-integral exponent
+    assert f**n == (f.log() * n).exp()
+
+
+# ----------------------------------------------------------------------
+# integer kernels against plain-Fraction reference loops
+# ----------------------------------------------------------------------
+
+
+def reference_mul(a, b):
+    m = min(len(a), len(b)) - 1
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), F(0)) for n in range(m + 1)]
+
+
+def reference_div(f, g):
+    m = min(len(f), len(g)) - 1
+    out = []
+    for n in range(m + 1):
+        acc = f[n] - sum((g[k] * out[n - k] for k in range(1, n + 1)), F(0))
+        out.append(acc / g[0])
+    return out
+
+
+def reference_log(f):
+    # n*f_n = sum_{k=1..n} k*L_k*f_{n-k}, from f' = L'f
+    out = [F(0)]
+    for n in range(1, len(f)):
+        acc = n * f[n] - sum((k * out[k] * f[n - k] for k in range(1, n)), F(0))
+        out.append(acc / n)
+    return out
+
+
+# zeros, negatives and denominators up to 30, at orders 0..8
+rational_st = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-30, max_value=30, max_denominator=30)
+)
+nonzero_st = rational_st.filter(lambda c: c != 0)
+coeff_lists_st = st.lists(rational_st, min_size=1, max_size=9)
+var_st = st.sampled_from(["q", "x", "t"])
+
+
+def exact(s: PowerSeries) -> list:
+    assert all(type(c) is Fraction for c in s.coeffs)
+    return list(s.coeffs)
+
+
+@given(coeff_lists_st, coeff_lists_st, var_st)
+def test_mul_kernel_matches_reference(a, b, var):
+    product = PowerSeries.of(a, var) * PowerSeries.of(b, "q")
+    assert exact(product) == reference_mul(a, b)
+    assert product.var == var
+
+
+@given(coeff_lists_st, nonzero_st, coeff_lists_st, var_st)
+def test_div_kernel_matches_reference(f, g0, g_tail, var):
+    g = [g0] + g_tail
+    quotient = PowerSeries.of(f, var) / PowerSeries.of(g, "q")
+    assert exact(quotient) == reference_div(f, g)
+    assert quotient.var == var
+
+
+@given(coeff_lists_st, var_st)
+def test_log_kernel_matches_reference(tail, var):
+    f = [F(1)] + tail[1:]
+    log = PowerSeries.of(f, var).log()
+    assert exact(log) == reference_log(f)
+    assert log.var == var and log.order == len(f) - 1
+
+
+def test_log_at_order_zero_is_the_zero_series():
+    log = PowerSeries.one(0, "x").log()
+    assert log.coeffs == (F(0),) and log.var == "x"
+
+
+def test_div_by_constant_term_outside_unit():
+    f = series(1, 0, 0, 0)
+    g = series(F(-3, 2), 1, 0, 0)
+    assert (f / g).coeffs == (F(-2, 3), F(-4, 9), F(-8, 27), F(-16, 81))
+
+
+# ----------------------------------------------------------------------
+# q-side pins at order 60, recorded before the integer kernels
+# ----------------------------------------------------------------------
+
+
+def digest(s: PowerSeries) -> str:
+    return hashlib.sha256(",".join(map(str, s.coeffs)).encode()).hexdigest()
+
+
+def test_genus_series_order_sixty_is_pinned():
+    s = genus_series(0, 0, 0, 2, 60)
+    assert [str(c) for c in s.coeffs[:6]] == ["0", "1", "24", "324", "3200", "25650"]
+    assert s.coeffs[60] == 133401459043236863797304544000
+    assert digest(s) == "bd27b2ccacdfb64e6f7184787f98b13f07209c5018136e3c46bfedd1d46087f9"
+
+
+def test_form_catalog_order_sixty_is_pinned():
+    catalog = FormCatalog.build(60)
+    pins = {
+        "g2": "3e3420f30a471091c6ed0d29dd28bffdf439773279ef30657d72010a46fc4dab",
+        "dg2": "c300af06eacfe88cbad4cddfad82352a8cb4c9ac1bea3335071ac55f89db88d1",
+        "d2g2": "5b1edf323963bd5fd36e8dc3b7781d6348ee99ce71d9fef8c870d68f8a63fd70",
+        "delta": "c3b81785485b0302ec3abc70eddb9539c43d941cbd31ed829c8f02fc73d3234d",
+    }
+    assert {name: digest(getattr(catalog, name)) for name in pins} == pins
+    assert catalog.delta.coeffs[60] == -1791659520
