@@ -13,7 +13,9 @@ it; execution details (threads, cache path, output format) do not affect
 results and are not echoed.  Only the six subcommands that open a Severi
 table (severi, severi-table, fit, evaluate, genus-series, validate) take
 --cache, the one way to name the append-only cache file, and --threads,
-which is accepted and ignored.  Exit codes: 0 success, 2 validation error
+which is accepted and ignored.  Each of the six loads the cache once before
+it runs and saves it once after it succeeds, genus-series included when it
+needs no fit.  Exit codes: 0 success, 2 validation error
 (including an unusable --cache path), 3 mathematical inconsistency detected.
 """
 
@@ -57,15 +59,6 @@ EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 
 
-def _load_table(args) -> SeveriTable:
-    return SeveriTable.load(args.cache) if args.cache else SeveriTable()
-
-
-def _save_table(args, table: SeveriTable):
-    if args.cache:
-        table.save(args.cache)
-
-
 def _precompute(table: SeveriTable, pairs):
     """Evaluate the top-level Severi keys once each, in sorted order."""
     for d, delta in sorted(set(pairs)):
@@ -83,18 +76,14 @@ def _ints(text: str, count: int, flag: str) -> list[int]:
     return values
 
 
-def _fit_config(args) -> FitConfig:
+def _build_fit(args, table: SeveriTable):
     if args.degrees is not None:
         d1, d2 = _ints(args.degrees, 2, "--degrees")
     else:
         base = default_config(args.order)
         d1, d2 = base.d1, base.d2
     s1, s2 = _ints(args.k3, 2, "--k3")
-    return FitConfig(order=args.order, d1=d1, d2=d2, s1=s1, s2=s2, unsafe=args.unsafe)
-
-
-def _build_fit(args, table: SeveriTable):
-    config = _fit_config(args)
+    config = FitConfig(order=args.order, d1=d1, d2=d2, s1=s1, s2=s2, unsafe=args.unsafe)
     _precompute(
         table,
         [(config.d1, r) for r in range(config.order + 1)]
@@ -120,8 +109,7 @@ def _emit(args, command: str, config: dict, result: dict) -> str:
 # ----------------------------------------------------------------------
 
 
-def cmd_severi(args) -> tuple[str, int]:
-    table = _load_table(args)
+def cmd_severi(args, table: SeveriTable) -> tuple[str, int]:
     alpha = TangencyProfile.parse(args.alpha) if args.alpha else TangencyProfile.empty()
     if args.beta:
         beta = TangencyProfile.parse(args.beta)
@@ -132,36 +120,27 @@ def cmd_severi(args) -> tuple[str, int]:
         beta = TangencyProfile.simple(remaining)
     key = SeveriKey(args.d, args.delta, alpha, beta)
     value = severi_relative(key, table)
-    _save_table(args, table)
     config = {"d": args.d, "delta": args.delta, "alpha": alpha.tokens(), "beta": beta.tokens()}
     if args.output == "pretty":
         return f"N({key.canonical()}) = {value}\n", EXIT_OK
     return _emit(args, "severi", config, {"value": str(value)}), EXIT_OK
 
 
-def cmd_severi_table(args) -> tuple[str, int]:
-    table = _load_table(args)
+def cmd_severi_table(args, table: SeveriTable) -> tuple[str, int]:
     pairs = [(d, k) for d in range(1, args.dmax + 1) for k in range(0, args.deltamax + 1)]
     _precompute(table, pairs)
-    _save_table(args, table)
+    values = [severi(d, k, table) for d, k in pairs]
     if args.output == "json":
-        rows = [
-            {"d": d, "delta": k, "value": str(severi(d, k, table))} for d, k in pairs
-        ]
+        rows = [{"d": d, "delta": k, "value": str(v)} for (d, k), v in zip(pairs, values)]
         config = {"dmax": args.dmax, "deltamax": args.deltamax}
         return _emit(args, "severi-table", config, {"rows": rows}), EXIT_OK
-    lines = ["d,delta,value"]
-    for d, k in pairs:
-        lines.append(f"{d},{k},{severi(d, k, table)}")
+    lines = ["d,delta,value"] + [f"{d},{k},{v}" for (d, k), v in zip(pairs, values)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_fit(args) -> tuple[str, int]:
-    table = _load_table(args)
+def cmd_fit(args, table: SeveriTable) -> tuple[str, int]:
     fit = _build_fit(args, table)
-    _save_table(args, table)
-    q_order = args.qorder if args.qorder is not None else fit.order
-    gyz = fit_B(fit, q_order)
+    gyz = fit_B(fit)
     result = {
         "A": [s.to_json_dict() for s in fit.a],
         "logA": [s.to_json_dict() for s in fit.log_a],
@@ -182,16 +161,14 @@ def cmd_fit(args) -> tuple[str, int]:
         ],
     }
     config = fit.config.to_json_dict()
-    config["q_order"] = q_order
+    config["q_order"] = gyz.q_order
     status = EXIT_OK if gyz.residuals.ok else EXIT_INCONSISTENT
     return _emit(args, "fit", config, result), status
 
 
-def cmd_evaluate(args) -> tuple[str, int]:
-    table = _load_table(args)
+def cmd_evaluate(args, table: SeveriTable) -> tuple[str, int]:
     v = PairClass(args.L2, args.LK, args.c1sq, args.c2)
     fit = _build_fit(args, table)
-    _save_table(args, table)
     series = evaluate(v, fit, args.order)
     config = fit.config.to_json_dict()
     config["vector"] = v.to_json_dict()
@@ -229,13 +206,10 @@ def cmd_close_relation(args) -> tuple[str, int]:
     return _emit(args, "close-relation", config, result), EXIT_OK
 
 
-def cmd_genus_series(args) -> tuple[str, int]:
+def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
     gyz = None
     if args.Ksq or args.m:
-        table = _load_table(args)
-        fit = _build_fit(args, table)
-        _save_table(args, table)
-        gyz = fit_B(fit, args.order)
+        gyz = fit_B(_build_fit(args, table), args.order)
     series = genus_series(args.r, args.Ksq, args.m, args.chiO, args.order, gyz)
     config = {
         "r": args.r,
@@ -249,12 +223,10 @@ def cmd_genus_series(args) -> tuple[str, int]:
     return _emit(args, "genus-series", config, {"series": series.to_json_dict()}), EXIT_OK
 
 
-def cmd_validate(args) -> tuple[str, int]:
-    table = _load_table(args)
+def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
     fit = _build_fit(args, table)
     _precompute(table, [(args.d, r) for r in range(args.order + 1)])
     report = validate_p2(args.d, fit, args.order, table, args.unsafe)
-    _save_table(args, table)
     config = fit.config.to_json_dict()
     config["held_out_degree"] = args.d
     status = EXIT_OK if report.match else EXIT_INCONSISTENT
@@ -316,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="solve for A1..A4, B1..B4 and the polynomials T_r")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--qorder", type=int, default=None)
     _add_fit_params(p)
     _add_common(p)
     p.set_defaults(handler=cmd_fit)
@@ -377,7 +348,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, status = args.handler(args)
+        if "cache" in args:  # the subcommands that open a Severi table
+            table = SeveriTable.load(args.cache) if args.cache else SeveriTable()
+            text, status = args.handler(args, table)
+            if args.cache:
+                table.save(args.cache)
+        else:
+            text, status = args.handler(args)
     except (ValueError, OSError) as exc:
         error = {"error": {"code": EXIT_VALIDATION, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")

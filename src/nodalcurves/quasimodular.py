@@ -89,9 +89,7 @@ def k3_generating(chi: int, order: int) -> PowerSeries:
     """
     if order < 0:
         raise SeriesError("order must be nonnegative")
-    if order == 0:
-        return PowerSeries.one(0, "q")
-    numerator = dg2_over_q(order).pow(Fraction(chi))
+    numerator = dg2_over_q(order) ** chi
     return numerator / delta_d2g2_over_q2(order)
 
 

@@ -15,8 +15,9 @@ Products and quotients run on integer kernels: each operand is written once
 as integer numerators over the lcm of its denominators, the convolution or
 division recurrence runs over Python ints, and one Fraction is built per
 output coefficient.  log is the integral of f'/f through the division
-kernel, and pow with an integral exponent is binary powering (Brent and
-Kung, Fast algorithms for manipulating formal power series, J. ACM 1978).
+kernel.  pow is the one power routine (** is the same method): an integral
+exponent is binary powering, any other is exp(e * log f) (Brent and Kung,
+Fast algorithms for manipulating formal power series, J. ACM 1978).
 
 The variable tag ("q", "x", ...) is documentation only; it is carried along
 but never consulted by the arithmetic.
@@ -102,15 +103,11 @@ class PowerSeries:
 
     @staticmethod
     def zero(order: int, var: str = "q") -> PowerSeries:
-        if order < 0:
-            raise SeriesError("truncation order must be nonnegative")
-        return PowerSeries((Fraction(0),) * (order + 1), var)
+        return PowerSeries.constant(0, order, var)
 
     @staticmethod
     def one(order: int, var: str = "q") -> PowerSeries:
-        if order < 0:
-            raise SeriesError("truncation order must be nonnegative")
-        return PowerSeries((Fraction(1),) + (Fraction(0),) * order, var)
+        return PowerSeries.constant(1, order, var)
 
     @staticmethod
     def identity(order: int, var: str = "x") -> PowerSeries:
@@ -123,9 +120,9 @@ class PowerSeries:
 
     @staticmethod
     def constant(value, order: int, var: str = "q") -> PowerSeries:
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[0] = _fraction(value)
-        return PowerSeries(tuple(coeffs), var)
+        if order < 0:
+            raise SeriesError("truncation order must be nonnegative")
+        return PowerSeries((_fraction(value),) + (Fraction(0),) * order, var)
 
     # ------------------------------------------------------------------
     # inspection
@@ -183,12 +180,9 @@ class PowerSeries:
     # ring operations
     # ------------------------------------------------------------------
 
-    def _common(self, other: PowerSeries) -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other):
         if isinstance(other, PowerSeries):
-            m = self._common(other)
+            m = min(self.order, other.order)
             return PowerSeries(
                 tuple(self.coeffs[n] + other.coeffs[n] for n in range(m + 1)), self.var
             )
@@ -208,7 +202,7 @@ class PowerSeries:
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
-            m = self._common(other)
+            m = min(self.order, other.order)
             a, da = _numerators(self.coeffs, m)
             b, db = _numerators(other.coeffs, m)
             den = da * db
@@ -233,7 +227,7 @@ class PowerSeries:
         coefficient n is num[n]*dg / (df*G0^(n+1)).
         """
         if isinstance(other, PowerSeries):
-            m = self._common(other)
+            m = min(self.order, other.order)
             if other.coeffs[0] == 0:
                 raise NonUnitDivisorError("non-unit divisor: constant term is zero")
             f, df = _numerators(self.coeffs, m)
@@ -250,7 +244,7 @@ class PowerSeries:
         return PowerSeries(tuple(c / s for c in self.coeffs), self.var)
 
     def __rtruediv__(self, other):
-        return PowerSeries.constant(_fraction(other), self.order, self.var) / self
+        return PowerSeries.constant(other, self.order, self.var) / self
 
     # ------------------------------------------------------------------
     # transcendental operations
@@ -300,39 +294,26 @@ class PowerSeries:
         return PowerSeries(tuple(out), self.var)
 
     def pow(self, e) -> PowerSeries:
-        """f**e for rational e; requires constant term one.
+        """f**e for rational e; the one power routine, also bound as **.
 
-        An integral e is binary powering through __pow__; any other e is
-        exp(e * log f).
+        An integral e is binary powering, for any constant term; a negative
+        one inverts the power, so the division raises NonUnitDivisorError
+        for a zero constant term.  Any other e is exp(e * log f), so log
+        raises NormalizationError unless the constant term is one.
         """
         e = _fraction(e)
-        if self.coeffs[0] != 1:
-            raise NormalizationError(
-                f"normalization error: pow needs constant term 1, got {self.coeffs[0]}"
-            )
-        if e.denominator == 1:
-            return self ** e.numerator
-        return (self.log() * e).exp()
+        if e.denominator != 1:
+            return (self.log() * e).exp()
+        result, base, n = PowerSeries.one(self.order, self.var), self, abs(e.numerator)
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return 1 / result if e < 0 else result
 
-    def __pow__(self, e):
-        if isinstance(e, int):
-            if e >= 0:
-                result = PowerSeries.one(self.order, self.var)
-                base = self
-                n = e
-                while n:
-                    if n & 1:
-                        result = result * base
-                    n >>= 1
-                    if n:
-                        base = base * base
-                return result
-            if self.coeffs[0] == 0:
-                raise NonUnitDivisorError(
-                    "non-unit divisor: negative power of a series with zero constant term"
-                )
-            return PowerSeries.one(self.order, self.var) / self ** (-e)
-        return self.pow(e)
+    __pow__ = pow
 
     # ------------------------------------------------------------------
     # composition, reversion, differential operator, shifts

@@ -45,6 +45,7 @@ import itertools
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,6 +103,9 @@ def _sub_profiles(pairs, cap: int) -> list:
 
 def _tokens(pairs) -> str:
     return " ".join(f"{m}^{c}" for m, c in pairs) if pairs else "-"
+
+
+_CONTACT_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?")  # m, or m^c for c contacts of order m
 
 
 _ID_BITS = 24
@@ -230,8 +234,11 @@ class TangencyProfile:
             return _EMPTY_PROFILE
         parsed = []
         for token in text.replace(",", " ").split():
-            m, c = token.split("^") if "^" in token else (token, 1)
-            parsed.append((int(m), int(c)))
+            match = _CONTACT_TOKEN.fullmatch(token)
+            m, c = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+            if m < 1 or c < 1:
+                raise ValueError(f"contact token {token!r} is not m or m^c with m, c >= 1")
+            parsed.append((m, c))
         return TangencyProfile(_plus((), tuple(parsed)))
 
 
@@ -533,8 +540,6 @@ def severi(d: int, delta: int, table: SeveriTable) -> int:
     """The plain Severi degree N(d, delta): no assigned contacts, all transverse."""
     if d < 1:
         raise ProfileWeightMismatchError("degree must be positive")
-    if delta < 0:
-        return 0
     return severi_relative(SeveriKey.plain(d, delta), table)
 
 

@@ -108,16 +108,40 @@ class MultiplicativeFit:
     @cached_property
     def polynomials(self) -> tuple[UniversalPolynomial, ...]:
         """T_0..T_order, read off one set of partial products (see universal_T)."""
-        return _universal_polynomials(self)
+        m = self.order
+        # powers[i][k] = (L_i/x)^k / k! through x^(m-k); L_i has no constant term,
+        # so prod_i L_i^(e_i) / e_i! is x^|e| times a product of these
+        powers = []
+        for log_series in self.log_a:
+            row = [PowerSeries.one(m, log_series.var)]
+            if m:
+                over_x = log_series.shift_down(1)
+                for k in range(1, m + 1):
+                    row.append(row[-1].truncate(m - k) * over_x / k)
+            powers.append(row)
+
+        def times(p: PowerSeries, i: int, e: int, low: int) -> PowerSeries:
+            """p * powers[i][e] through x^(m - low - e), where x^low is p's shift."""
+            return p.truncate(m - low - e) * powers[i][e] if e else p
+
+        terms = [[] for _ in range(m + 1)]  # per r, in lexicographic order of the exponents
+        for e0 in range(m + 1):
+            for e1 in range(m + 1 - e0):
+                p01 = times(powers[0][e0], 1, e1, e0)
+                for e2 in range(m + 1 - e0 - e1):
+                    p012 = times(p01, 2, e2, e0 + e1)
+                    low = e0 + e1 + e2
+                    for e3 in range(m + 1 - low):
+                        for r, c in enumerate(times(p012, 3, e3, low).coeffs, low + e3):
+                            if c:
+                                terms[r].append(((e0, e1, e2, e3), c))
+        return tuple(UniversalPolynomial(r=r, terms=tuple(t)) for r, t in enumerate(terms))
 
 
 def k3_series_in_x(s: int, order: int) -> PowerSeries:
     """The K3 closed form pulled back from q to x through the inverse of DG2."""
-    if order == 0:
-        return PowerSeries.one(0, "x")
     chi = 2 + s // 2
-    gamma = k3_generating(chi, order)
-    return gamma.compose(dg2(order).revert())
+    return k3_generating(chi, order).compose(dg2(max(order, 1)).revert())
 
 
 def fit_A(config: FitConfig, table: SeveriTable) -> MultiplicativeFit:
@@ -167,12 +191,6 @@ class UniversalPolynomial:
                     f"T_{self.r} produced a monomial of total degree {sum(exps)}"
                 )
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return Fraction(0)
-
     def evaluate(self, v: PairClass) -> Fraction:
         total = Fraction(0)
         values = v.as_tuple()
@@ -197,37 +215,6 @@ def universal_T(r: int, fit: MultiplicativeFit) -> UniversalPolynomial:
     if r > fit.order:
         raise FitConfigError(f"T_{r} needs fit order >= {r}, have {fit.order}")
     return fit.polynomials[r]
-
-
-def _universal_polynomials(fit: MultiplicativeFit) -> tuple[UniversalPolynomial, ...]:
-    m = fit.order
-    # powers[i][k] = (L_i/x)^k / k! through x^(m-k); L_i has no constant term,
-    # so prod_i L_i^(e_i) / e_i! is x^|e| times a product of these
-    powers = []
-    for log_series in fit.log_a:
-        row = [PowerSeries.one(m, log_series.var)]
-        if m:
-            over_x = log_series.shift_down(1)
-            for k in range(1, m + 1):
-                row.append(row[-1].truncate(m - k) * over_x / k)
-        powers.append(row)
-
-    def times(p: PowerSeries, i: int, e: int, low: int) -> PowerSeries:
-        """p * powers[i][e] through x^(m - low - e), where x^low is p's shift."""
-        return p.truncate(m - low - e) * powers[i][e] if e else p
-
-    terms = [[] for _ in range(m + 1)]  # per r, in lexicographic order of the exponents
-    for e0 in range(m + 1):
-        for e1 in range(m + 1 - e0):
-            p01 = times(powers[0][e0], 1, e1, e0)
-            for e2 in range(m + 1 - e0 - e1):
-                p012 = times(p01, 2, e2, e0 + e1)
-                low = e0 + e1 + e2
-                for e3 in range(m + 1 - low):
-                    for r, c in enumerate(times(p012, 3, e3, low).coeffs, low + e3):
-                        if c:
-                            terms[r].append(((e0, e1, e2, e3), c))
-    return tuple(UniversalPolynomial(r=r, terms=tuple(t)) for r, t in enumerate(terms))
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +302,9 @@ def genus_series(
         if gyz.q_order < order:
             raise ValueError(f"fit q-order {gyz.q_order} is below requested order {order}")
         if Ksq:
-            result = result * gyz.b1.truncate(order).pow(Fraction(Ksq))
+            result = result * gyz.b1.truncate(order) ** Ksq
         if m:
-            result = result * gyz.b2.truncate(order).pow(Fraction(m))
+            result = result * gyz.b2.truncate(order) ** m
     if chiO:
         result = result / delta_d2g2_over_q2(order).pow(Fraction(chiO, 2))
     return result

@@ -338,3 +338,31 @@ def test_missing_required_flag_exits_2():
 def test_fit_runs_with_threads(threads):
     proc = run_cli("fit", "--order", "1", "--threads", threads, "--no-timestamp")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "alpha, token",
+    [("1^2,1^-1", "1^-1"), ("1^0", "1^0"), ("1^2^3", "1^2^3")],
+    ids=["negative-count", "zero-count", "two-carets"],
+)
+def test_contact_token_outside_m_or_m_to_the_c_exits_2_naming_it(alpha, token):
+    proc = run_cli("severi", "--d", "3", "--delta", "1", "--alpha", alpha, "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert repr(token) in json.loads(proc.stderr)["error"]["message"]
+
+
+def test_genus_series_without_a_fit_saves_a_header_only_cache(tmp_path):
+    cache = tmp_path / "table.jsonl"
+    proc = run_cli(
+        "genus-series", "--r", "0", "--Ksq", "0", "--m", "0", "--chiO", "2", "--order", "3",
+        "--cache", str(cache), "--no-timestamp",
+    )
+    assert doc_of(proc)["result"]["series"]["order"] == 3
+    assert cache.read_text() == '{"format": "severi-cache-1"}\n'
+
+
+def test_fit_takes_no_qorder():
+    proc = run_cli("fit", "--order", "2", "--qorder", "2", "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""

@@ -12,6 +12,7 @@ from nodalcurves import (
     NonUnitDivisorError,
     NormalizationError,
     PowerSeries,
+    SeriesError,
     ValuationError,
     genus_series,
 )
@@ -349,3 +350,52 @@ def test_form_catalog_order_sixty_is_pinned():
     }
     assert {name: digest(getattr(catalog, name)) for name in pins} == pins
     assert catalog.delta.coeffs[60] == -1791659520
+
+
+# ----------------------------------------------------------------------
+# one power routine, one constant constructor
+# ----------------------------------------------------------------------
+
+
+def product_power(f: PowerSeries, n: int) -> PowerSeries:
+    """f^n as |n| plain products, inverted for negative n."""
+    out = PowerSeries.one(f.order, f.var)
+    for _ in range(abs(n)):
+        out = out * f
+    return 1 / out if n < 0 else out
+
+
+@pytest.mark.parametrize("n", range(-3, 7))
+@pytest.mark.parametrize("c0", [F(1), F(2), F(-3, 2)])
+def test_pow_is_binary_powering_for_any_unit_constant_term(c0, n):
+    f = series(c0, 1, F(1, 3), 0, -2)
+    assert f.pow(n) == f**n == product_power(f, n)
+    assert f.pow(F(n)) == f.pow(n)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_pow_of_a_series_without_constant_term(n):
+    q = PowerSeries.identity(4, "q")
+    assert q.pow(n) == q**n == product_power(q, n)
+
+
+def test_pow_pins():
+    assert PowerSeries.of([2, 1, 0, 0]).pow(2) == series(4, 4, 1, 0)
+    assert PowerSeries.identity(4, "q").pow(2) == series(0, 0, 1, 0, 0)
+
+
+def test_pow_domain_errors():
+    with pytest.raises(NormalizationError, match="got 2"):
+        series(2, 1, 0).pow(F(1, 2))
+    with pytest.raises(NonUnitDivisorError):
+        PowerSeries.identity(3, "q").pow(-1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: PowerSeries.constant(5, -1), lambda: PowerSeries.one(-1), lambda: PowerSeries.zero(-1)],
+    ids=["constant", "one", "zero"],
+)
+def test_constant_constructors_refuse_a_negative_order(make):
+    with pytest.raises(SeriesError, match="nonnegative"):
+        make()

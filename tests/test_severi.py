@@ -505,3 +505,13 @@ def test_recursion_matches_naive_on_tangency_keys(table):
         beta = _profile_of_parts(parts[split:])
         key = SeveriKey(d, delta, alpha, beta)
         assert severi_relative(key, table) == _naive(key, memo)
+
+
+@pytest.mark.parametrize("text", ["1^2,1^-1", "1^0", "1^2^3", "0", "0^2", "x", "2^", "^2"])
+def test_profile_parse_rejects_tokens_outside_m_or_m_to_the_c(text):
+    with pytest.raises(ValueError, match="contact token"):
+        TangencyProfile.parse(text)
+
+
+def test_profile_parse_adds_repeated_multiplicities():
+    assert TangencyProfile.parse("1^2,1^3 2") == TangencyProfile.of({1: 5, 2: 1})
