@@ -127,6 +127,9 @@ def cmd_severi(args, table: SeveriTable) -> tuple[str, int]:
 
 
 def cmd_severi_table(args, table: SeveriTable) -> tuple[str, int]:
+    for flag, bound in (("--dmax", args.dmax), ("--deltamax", args.deltamax)):
+        if bound < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {bound}")
     pairs = [(d, k) for d in range(1, args.dmax + 1) for k in range(0, args.deltamax + 1)]
     _precompute(table, pairs)
     values = [severi(d, k, table) for d, k in pairs]

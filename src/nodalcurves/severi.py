@@ -227,7 +227,6 @@ class TangencyProfile:
         return _tokens(self.pairs)
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def parse(text: str) -> TangencyProfile:
         text = text.strip()
         if text in ("", "-"):
@@ -298,6 +297,24 @@ def _canonical(flat: int) -> str:
     alpha, beta = (flat >> _ID_BITS) & _ID_MASK, flat & _ID_MASK
     d = _weight[alpha] + _weight[beta]
     return f"{d}:{flat >> _DELTA_SHIFT}:{_text[alpha]}|{_text[beta]}"
+
+
+# a cache line exactly as save writes it: d, delta, alpha text, beta text, value
+_CACHE_LINE = re.compile(
+    r'\{"key": "([0-9]+):([0-9]+):([^"|\\]*)\|([^"|\\]*)", "value": "(-?[0-9]+)"\}'
+)
+_text_ids: dict[str, int] = {}  # canonical profile text -> id, filled by cache loads
+
+
+def _profile_id(text: str) -> int:
+    """The id of the profile a cache line spells text; only the canonical spelling."""
+    pid = _text_ids.get(text)
+    if pid is None:
+        pid = _intern(TangencyProfile.parse(text).pairs)
+        if _text[pid] != text:
+            raise ValueError(f"profile {text!r} is not written as {_text[pid]!r}")
+        _text_ids[text] = pid
+    return pid
 
 
 def _cache_format(path, line):
@@ -373,8 +390,10 @@ class SeveriTable:
     def load(path) -> SeveriTable:
         """Load a cache file; entries are trusted only on format-version match.
 
-        A last line without its newline is a torn append and is ignored; a
-        complete line that is not a cache entry raises ValueError."""
+        A line loads only in the exact form save writes, canonical key text
+        included; any other complete line raises ValueError naming the file,
+        and one key with two values raises AssertionError.  A last line
+        without its newline is a torn append and is ignored."""
         table = SeveriTable()
         try:
             with open(path, "r", encoding="ascii") as fh:
@@ -386,16 +405,27 @@ class SeveriTable:
             return table
         if _cache_format(path, lines[0]) != CACHE_FORMAT_VERSION:
             return table
+        # the table is local until returned, so entries skip put and its lock
+        entries = table._entries
+        match = _CACHE_LINE.fullmatch
         for line in lines[1:]:
-            if not line.strip():
+            found = match(line)
+            if found is None and not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-                key, value = SeveriKey.from_canonical(doc["key"]), int(doc["value"])
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                if found is None:
+                    raise ValueError("not a line as save writes it")
+                d, delta, alpha, beta, value = found.groups()
+                alpha, beta = _profile_id(alpha), _profile_id(beta)
+                if not 1 <= int(d) == _weight[alpha] + _weight[beta]:
+                    raise ProfileWeightMismatchError("I(alpha) + I(beta) is not d")
+                flat = int(delta) << _DELTA_SHIFT | alpha << _ID_BITS | beta
+                value = int(value)
+            except ValueError as exc:
                 raise ValueError(f"cache file {path} has a malformed line {line!r}") from exc
-            table.put(key, value)
-        table._saved = len(table._entries)
+            if entries.setdefault(flat, value) != value:
+                raise AssertionError(f"cache file {path} holds two values for {_canonical(flat)}")
+        table._saved = len(entries)
         return table
 
     def save(self, path):
@@ -421,9 +451,13 @@ class SeveriTable:
                 fh.truncate(complete)
                 if not complete:
                     fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
-                new = itertools.islice(self._entries, self._saved, None)
-                for text, key in sorted((_canonical(key), key) for key in new):
-                    fh.write(json.dumps({"key": text, "value": str(self._entries[key])}) + "\n")
+                entries = self._entries
+                new = itertools.islice(entries, self._saved, None)
+                # key text is digits and ":|^ -", which JSON writes as is
+                fh.writelines(
+                    f'{{"key": "{text}", "value": "{entries[key]}"}}\n'
+                    for text, key in sorted((_canonical(key), key) for key in new)
+                )
             self._saved = len(self._entries)
 
 

@@ -191,6 +191,21 @@ def test_pretty_output(args, expected):
     assert proc.stdout == expected
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("--dmax", "-2", "--deltamax", "1"), "--dmax"),
+        (("--dmax", "3", "--deltamax", "-1"), "--deltamax"),
+    ],
+    ids=["dmax", "deltamax"],
+)
+def test_severi_table_negative_bound_exits_2_naming_the_flag(args, flag):
+    proc = run_cli("severi-table", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in json.loads(proc.stderr)["error"]["message"]
+
+
 def test_severi_table_json_output():
     doc = doc_of(run_cli("severi-table", "--dmax", "2", "--deltamax", "1", "--output", "json",
                          "--no-timestamp"))
@@ -270,14 +285,34 @@ def test_cache_garbage_middle_line_exits_2(tmp_path):
         '{"format": "severi-cache-1"}\n{"key": 5, "value": "1"}\n',
         "[]\n",
         "garbage\n",
+        '{"format": "severi-cache-1"}\n{"key":"2:0:-|1^2","value":"1"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "value": 1}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "value": "+1"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^\\u0032", "value": "1"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "3:0:-|1^2", "value": "1"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^1 1", "value": "1"}\n',
     ],
-    ids=["no-key", "no-value", "list-line", "key-not-text", "list-header", "not-json-header"],
+    ids=["no-key", "no-value", "list-line", "key-not-text", "list-header", "not-json-header",
+         "compact-separators", "number-value", "plus-value", "unicode-escape",
+         "weight-mismatch", "profile-not-canonical"],
 )
 def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
     cache = tmp_path / "table.jsonl"
     cache.write_text(text)
     proc = run_cli("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--no-timestamp")
     assert proc.returncode == 2
+    assert str(cache) in json.loads(proc.stderr)["error"]["message"]
+
+
+def test_cache_key_with_two_values_exits_3(tmp_path):
+    cache = tmp_path / "table.jsonl"
+    cache.write_text(
+        '{"format": "severi-cache-1"}\n'
+        '{"key": "2:0:-|1^2", "value": "1"}\n{"key": "2:0:-|1^2", "value": "2"}\n'
+    )
+    proc = run_cli("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--no-timestamp")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 

@@ -283,6 +283,23 @@ def test_memo_keys_share_their_profiles(tmp_path):
     assert set(loaded._entries) == set(local._entries)
 
 
+def test_cache_load_severi_save_load_keeps_entries_and_their_order(tmp_path):
+    from nodalcurves.severi import _canonical
+
+    path = tmp_path / "cache.jsonl"
+    computed = SeveriTable.load(path)  # no file yet
+    value = severi(12, 3, computed)
+    computed.save(path)
+    loaded = SeveriTable.load(path)
+    assert loaded._entries == computed._entries
+    # a load inserts in file order, which is sorted by key text
+    assert list(loaded._entries) == sorted(loaded._entries, key=_canonical)
+    assert severi(12, 3, loaded) == value
+    loaded.save(path)
+    again = SeveriTable.load(path)
+    assert list(again._entries.items()) == list(loaded._entries.items())
+
+
 def test_cache_file_bytes_are_pinned(tmp_path):
     # existing cache files depend on the header, the key syntax and the line order
     local = SeveriTable()
