@@ -9,13 +9,13 @@ form catalog.
 Every JSON document embeds a schema version and echoes the mathematical
 parameters of the run, so a run is reproducible from its own output.  The
 timestamp is the only nondeterministic field and --no-timestamp suppresses
-it; execution details (threads, cache path, output format) do not affect
-results and are not echoed.  Only the six subcommands that open a Severi
-table (severi, severi-table, fit, evaluate, genus-series, validate) take
---cache, the one way to name the append-only cache file, and --threads,
-which is accepted and ignored.  Each of the six loads the cache once before
-it runs and saves it once after it succeeds, genus-series included when it
-needs no fit.  Exit codes: 0 success, 2 validation error
+it; execution details (cache path, output format) do not affect results
+and are not echoed.  Evaluation runs on one thread.  Only the six
+subcommands that open a Severi table (severi, severi-table, fit, evaluate,
+genus-series, validate) take --cache, the one way to name the append-only
+cache file, and --threads, which is accepted and ignored.  Each of the six
+loads the cache once before it runs and saves it once after it succeeds,
+genus-series included when it needs no fit.  Exit codes: 0 success, 2 validation error
 (including an unusable --cache path), 3 mathematical inconsistency detected.
 """
 
@@ -110,6 +110,8 @@ def _emit(args, command: str, config: dict, result: dict) -> str:
 
 
 def cmd_severi(args, table: SeveriTable) -> tuple[str, int]:
+    if args.delta < 0:
+        raise ValueError(f"--delta must be nonnegative, got {args.delta}")
     alpha = TangencyProfile.parse(args.alpha) if args.alpha else TangencyProfile.empty()
     if args.beta:
         beta = TangencyProfile.parse(args.beta)

@@ -9,7 +9,7 @@ order.
 
 Coefficients are fractions.Fraction values, hence always in lowest terms
 with positive denominator.  Series are immutable after construction and all
-operations are pure, so values can be shared freely between threads.
+operations are pure: no operation changes an operand.
 
 Products and quotients run on integer kernels: each operand is written once
 as integer numerators over the lcm of its denominators, the convolution or

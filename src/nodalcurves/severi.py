@@ -34,9 +34,8 @@ profile's weight, canonical text and +-e_m neighbours, and the sub-profile
 and new-contact enumerations are memoized per id, so the hot loop hashes
 and stores plain ints.  SeveriKey, the cache text and the error messages
 translate at the table's boundary.  Values are arbitrary-precision
-integers; entries are write-once and recomputation must reproduce the
-identical value, so results are bit-identical no matter how concurrent
-callers are scheduled.
+integers and entries are write-once.  A table and the intern tables belong
+to one thread: nothing here takes a lock.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import json
 import math
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -72,8 +70,8 @@ class AmplenessThresholdError(ValueError):
 # positive.  TangencyProfile validates them at the API and cache boundary and
 # delegates to the functions below; _plus is the one function that makes a
 # canonical profile.  The recursion never sees the pairs: _intern gives each
-# distinct profile an int id, once per process and under a lock, and the per-id
-# lists below hold what the recursion reads.  A memo key packs
+# distinct profile an int id, once per process, and the per-id lists below
+# hold what the recursion reads.  A memo key packs
 # (delta, alpha id, beta id) into one int, so a few hundred profiles serve
 # tens of thousands of keys and every memo probe hashes a plain int.
 
@@ -118,26 +116,21 @@ _weight: list[int] = []  # id -> I(pairs)
 _text: list[str] = []  # id -> canonical tokens
 _up: list[dict] = []  # id -> {m: id of pairs + e_m}, filled on demand
 _down: list = []  # id -> ((m, id of pairs - e_m) for each m), None until needed
-_intern_lock = threading.Lock()
 
 
 def _intern(pairs) -> int:
     """The id of a canonical profile, assigned on first sight."""
     pid = _ids.get(pairs)
     if pid is None:
-        with _intern_lock:
-            pid = _ids.get(pairs)
-            if pid is None:
-                pid = len(_pairs)
-                if pid > _ID_MASK:
-                    raise OverflowError("more tangency profiles than a memo key can pack")
-                _pairs.append(pairs)
-                _weight.append(sum(m * c for m, c in pairs))
-                _text.append(_tokens(pairs))
-                _up.append({})
-                _down.append(None)
-                # published last, so a reader that finds the id finds its rows
-                _ids[pairs] = pid
+        pid = len(_pairs)
+        if pid > _ID_MASK:
+            raise OverflowError("more tangency profiles than a memo key can pack")
+        _ids[pairs] = pid
+        _pairs.append(pairs)
+        _weight.append(sum(m * c for m, c in pairs))
+        _text.append(_tokens(pairs))
+        _up.append({})
+        _down.append(None)
     return pid
 
 
@@ -299,9 +292,11 @@ def _canonical(flat: int) -> str:
     return f"{d}:{flat >> _DELTA_SHIFT}:{_text[alpha]}|{_text[beta]}"
 
 
-# a cache line exactly as save writes it: d, delta, alpha text, beta text, value
+# a cache line exactly as save writes it: d, delta, alpha text, beta text, value;
+# numbers without sign or leading zeros, since a Severi degree is a count
 _CACHE_LINE = re.compile(
-    r'\{"key": "([0-9]+):([0-9]+):([^"|\\]*)\|([^"|\\]*)", "value": "(-?[0-9]+)"\}'
+    r'\{"key": "([1-9][0-9]*):(0|[1-9][0-9]*):([^"|\\]*)\|([^"|\\]*)", '
+    r'"value": "(0|[1-9][0-9]*)"\}'
 )
 _text_ids: dict[str, int] = {}  # canonical profile text -> id, filled by cache loads
 
@@ -342,7 +337,7 @@ def _complete_length(fh) -> int:
 
 
 class SeveriTable:
-    """Write-once memo table; concurrent reads, serialized idempotent writes.
+    """Write-once memo table, owned by one thread.
 
     Entries are keyed by packed ints (see _flat); the public methods take
     SeveriKey.  hits and misses count top-level queries: a hit is a query
@@ -351,9 +346,8 @@ class SeveriTable:
 
     def __init__(self):
         self._entries: dict[int, int] = {}
-        self._lock = threading.RLock()
-        # entries are only removed all at once, by clear, so the ones already
-        # on disk are the first _saved in insertion order
+        # entries are never removed, so the ones already on disk are the
+        # first _saved in insertion order
         self._saved = 0
         self.hits = 0
         self.misses = 0
@@ -362,24 +356,12 @@ class SeveriTable:
         return len(self._entries)
 
     def put(self, key: SeveriKey, value: int):
-        self._store(_flat(key), value)
-
-    def _store(self, flat: int, value: int):
-        with self._lock:
-            existing = self._entries.get(flat)
-            if existing is None:
-                self._entries[flat] = value
-            elif existing != value:
-                raise AssertionError(
-                    f"memo entry for {_canonical(flat)} recomputed to a different value"
-                )
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._saved = 0
-            self.hits = 0
-            self.misses = 0
+        """Seed one entry; a second, different value for a key is an AssertionError."""
+        flat = _flat(key)
+        if self._entries.setdefault(flat, value) != value:
+            raise AssertionError(
+                f"memo entry for {_canonical(flat)} recomputed to a different value"
+            )
 
     def stats(self) -> dict:
         return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
@@ -405,7 +387,7 @@ class SeveriTable:
             return table
         if _cache_format(path, lines[0]) != CACHE_FORMAT_VERSION:
             return table
-        # the table is local until returned, so entries skip put and its lock
+        # entries are stored straight from the packed key, without a SeveriKey
         entries = table._entries
         match = _CACHE_LINE.fullmatch
         for line in lines[1:]:
@@ -417,7 +399,7 @@ class SeveriTable:
                     raise ValueError("not a line as save writes it")
                 d, delta, alpha, beta, value = found.groups()
                 alpha, beta = _profile_id(alpha), _profile_id(beta)
-                if not 1 <= int(d) == _weight[alpha] + _weight[beta]:
+                if int(d) != _weight[alpha] + _weight[beta]:
                     raise ProfileWeightMismatchError("I(alpha) + I(beta) is not d")
                 flat = int(delta) << _DELTA_SHIFT | alpha << _ID_BITS | beta
                 value = int(value)
@@ -433,32 +415,29 @@ class SeveriTable:
 
         A torn last line is cut off first; a file whose header is torn is
         started afresh."""
-        with self._lock:
-            complete = 0
-            try:
-                with open(path, "rb") as fh:
-                    first = fh.readline()
-                    complete = _complete_length(fh)
-            except FileNotFoundError:
-                pass
-            if complete:
-                found = _cache_format(path, first)
-                if found != CACHE_FORMAT_VERSION:
-                    raise ValueError(
-                        f"cache file {path} has format {found!r}; refusing to append"
-                    )
-            with open(path, "a", encoding="ascii") as fh:
-                fh.truncate(complete)
-                if not complete:
-                    fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
-                entries = self._entries
-                new = itertools.islice(entries, self._saved, None)
-                # key text is digits and ":|^ -", which JSON writes as is
-                fh.writelines(
-                    f'{{"key": "{text}", "value": "{entries[key]}"}}\n'
-                    for text, key in sorted((_canonical(key), key) for key in new)
-                )
-            self._saved = len(self._entries)
+        complete = 0
+        try:
+            with open(path, "rb") as fh:
+                first = fh.readline()
+                complete = _complete_length(fh)
+        except FileNotFoundError:
+            pass
+        if complete:
+            found = _cache_format(path, first)
+            if found != CACHE_FORMAT_VERSION:
+                raise ValueError(f"cache file {path} has format {found!r}; refusing to append")
+        with open(path, "a", encoding="ascii") as fh:
+            fh.truncate(complete)
+            if not complete:
+                fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
+            entries = self._entries
+            new = itertools.islice(entries, self._saved, None)
+            # key text is digits and ":|^ -", which JSON writes as is
+            fh.writelines(
+                f'{{"key": "{text}", "value": "{entries[key]}"}}\n'
+                for text, key in sorted((_canonical(key), key) for key in new)
+            )
+        self._saved = len(self._entries)
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +530,9 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
         return entries[key]
     table.misses += 1
     # a key with missing deps goes back on the stack as (key, base, coeffs, deps)
-    # under them, and is summed when it comes up again: its deps are then stored
+    # under them, and is summed when it comes up again: its deps are then stored.
+    # No key is stored twice: (d, I(beta)) strictly decreases along deps, so a
+    # key never sits above its own pending tuple on the stack.
     stack: list = [key]
     while stack:
         top = stack.pop()
@@ -566,7 +547,7 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
                 stack.append((top, base, coeffs, deps))
                 stack += missing
                 continue
-        table._store(top, base + sum(map(mul, coeffs, map(entries.__getitem__, deps))))
+        entries[top] = base + sum(map(mul, coeffs, map(entries.__getitem__, deps)))
     return entries[key]
 
 

@@ -5,7 +5,8 @@ from nodalcurves import SeveriTable, default_config, fit_A
 
 @pytest.fixture(scope="session")
 def table():
-    """One shared memo table; entries are write-once so sharing is safe."""
+    """One memo table shared by the session's tests, which run on one thread;
+    entries are write-once, so each test sees the values a fresh table gives."""
     return SeveriTable()
 
 

