@@ -83,7 +83,7 @@ def _build_fit(args, table: SeveriTable):
         base = default_config(args.order)
         d1, d2 = base.d1, base.d2
     s1, s2 = _ints(args.k3, 2, "--k3")
-    config = FitConfig(order=args.order, d1=d1, d2=d2, s1=s1, s2=s2, unsafe=args.unsafe)
+    config = FitConfig(order=args.order, d1=d1, d2=d2, s1=s1, s2=s2)
     _precompute(
         table,
         [(config.d1, r) for r in range(config.order + 1)]
@@ -231,7 +231,7 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
 def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
     fit = _build_fit(args, table)
     _precompute(table, [(args.d, r) for r in range(args.order + 1)])
-    report = validate_p2(args.d, fit, args.order, table, args.unsafe)
+    report = validate_p2(args.d, fit, args.order, table)
     config = fit.config.to_json_dict()
     config["held_out_degree"] = args.d
     status = EXIT_OK if report.match else EXIT_INCONSISTENT
@@ -265,7 +265,6 @@ def _add_fit_params(parser: argparse.ArgumentParser):
     _add_table_flags(parser)
     parser.add_argument("--degrees", default=None, help="two plane degrees, e.g. 9,10")
     parser.add_argument("--k3", default="2,4", help="two even K3 squares (default 2,4)")
-    parser.add_argument("--unsafe", action="store_true", help="skip the d >= r ampleness bound")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,6 @@ to one thread: nothing here takes a lock.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import re
@@ -54,6 +53,7 @@ from . import linalg
 from .series import PowerSeries
 
 CACHE_FORMAT_VERSION = "severi-cache-1"
+_CACHE_HEADER = f'{{"format": "{CACHE_FORMAT_VERSION}"}}'  # a cache file's first line
 
 
 class ProfileWeightMismatchError(ValueError):
@@ -265,17 +265,6 @@ class SeveriKey:
     def canonical(self) -> str:
         return _canonical(_flat(self))
 
-    @staticmethod
-    def from_canonical(text: str) -> SeveriKey:
-        d_str, delta_str, profiles = text.split(":")
-        alpha_str, beta_str = profiles.split("|")
-        return SeveriKey(
-            int(d_str),
-            int(delta_str),
-            TangencyProfile.parse(alpha_str),
-            TangencyProfile.parse(beta_str),
-        )
-
 
 def _flat(key: SeveriKey) -> int:
     """The packed int (delta, alpha id, beta id) the recursion uses."""
@@ -312,15 +301,10 @@ def _profile_id(text: str) -> int:
     return pid
 
 
-def _cache_format(path, line):
-    """The format tag in a cache file's header line."""
-    try:
-        header = json.loads(line)
-    except ValueError:
-        header = None
-    if not isinstance(header, dict):
-        raise ValueError(f"cache file {path} has a header that is not a JSON object")
-    return header.get("format")
+def _check_header(path, line: str):
+    """Raise ValueError naming the file unless line is the header save writes, to the byte."""
+    if line != _CACHE_HEADER:
+        raise ValueError(f"cache file {path} does not start with the header {_CACHE_HEADER}")
 
 
 def _complete_length(fh) -> int:
@@ -355,14 +339,6 @@ class SeveriTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key: SeveriKey, value: int):
-        """Seed one entry; a second, different value for a key is an AssertionError."""
-        flat = _flat(key)
-        if self._entries.setdefault(flat, value) != value:
-            raise AssertionError(
-                f"memo entry for {_canonical(flat)} recomputed to a different value"
-            )
-
     def stats(self) -> dict:
         return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
 
@@ -370,10 +346,11 @@ class SeveriTable:
 
     @staticmethod
     def load(path) -> SeveriTable:
-        """Load a cache file; entries are trusted only on format-version match.
+        """Load a cache file; a missing file gives an empty table.
 
-        A line loads only in the exact form save writes, canonical key text
-        included; any other complete line raises ValueError naming the file,
+        The header and every line load only in the exact form save writes,
+        canonical key text included; any other complete line, another format
+        version in the header among them, raises ValueError naming the file,
         and one key with two values raises AssertionError.  A last line
         without its newline is a torn append and is ignored."""
         table = SeveriTable()
@@ -385,8 +362,7 @@ class SeveriTable:
         lines.pop()
         if not lines:
             return table
-        if _cache_format(path, lines[0]) != CACHE_FORMAT_VERSION:
-            return table
+        _check_header(path, lines[0])
         # entries are stored straight from the packed key, without a SeveriKey
         entries = table._entries
         match = _CACHE_LINE.fullmatch
@@ -414,7 +390,7 @@ class SeveriTable:
         """Append entries not yet on disk; writes the header on a fresh file.
 
         A torn last line is cut off first; a file whose header is torn is
-        started afresh."""
+        started afresh; any other header raises ValueError naming the file."""
         complete = 0
         try:
             with open(path, "rb") as fh:
@@ -423,13 +399,11 @@ class SeveriTable:
         except FileNotFoundError:
             pass
         if complete:
-            found = _cache_format(path, first)
-            if found != CACHE_FORMAT_VERSION:
-                raise ValueError(f"cache file {path} has format {found!r}; refusing to append")
+            _check_header(path, first[:-1].decode("ascii", "replace"))
         with open(path, "a", encoding="ascii") as fh:
             fh.truncate(complete)
             if not complete:
-                fh.write(json.dumps({"format": CACHE_FORMAT_VERSION}) + "\n")
+                fh.write(_CACHE_HEADER + "\n")
             entries = self._entries
             new = itertools.islice(entries, self._saved, None)
             # key text is digits and ":|^ -", which JSON writes as is
@@ -510,8 +484,12 @@ def _expand(key: int) -> tuple[int, list[int], list[int]]:
     for m, lowered in _lowered(beta):
         coeffs.append(m)
         deps.append(same_delta | _raised(alpha, m) << _ID_BITS | lowered)
-    # drop the degree by one; delta' = delta - I(alpha') - I(beta) - excess >= 0
-    for alpha_p, ia, ca in _sub_ids(alpha, min(delta - ib, d - 1 - ib)):
+    # drop the degree by one; delta' = delta - I(alpha') - I(beta) - excess >= 0,
+    # so a negative cap leaves no term, and its empty enumeration is not memoized
+    cap = min(delta - ib, d - 1 - ib)
+    if cap < 0:
+        return 0, coeffs, deps
+    for alpha_p, ia, ca in _sub_ids(alpha, cap):
         shifted = alpha_p << _ID_BITS
         for coeff, part in _gain_ids(beta, d - 1 - ia - ib, delta - ia - ib):
             coeffs.append(ca * coeff)
@@ -558,23 +536,25 @@ def severi(d: int, delta: int, table: SeveriTable) -> int:
     return severi_relative(SeveriKey.plain(d, delta), table)
 
 
-def check_threshold(d: int, order: int, unsafe: bool):
-    """Enforce the ampleness bound d >= r for every r <= order unless overridden.
+def check_threshold(d: int, order: int):
+    """Enforce the ampleness bound d >= r for every r <= order; it has no override.
 
     O(d) on the plane is d-very ample, and T_r counts the r-nodal curves of an
     r-very ample line bundle (Kool-Shende-Thomas, A short proof of the
     Gottsche conjecture, Geom. Topol. 2011), so N(d, r) = T_r(plane(d)) once
-    d >= r."""
-    if not unsafe and d < order:
+    d >= r.  Below the bound the two may differ, so a plane degree is checked
+    where it enters a fit or a held-out comparison."""
+    if d < order:
         raise AmplenessThresholdError(
-            f"degree {d} is below the ampleness bound d >= r for r = {d + 1}; "
-            f"pass unsafe to override"
+            f"degree {d} is below the ampleness bound d >= r for r = {d + 1}"
         )
 
 
-def p2_series(d: int, order: int, table: SeveriTable, unsafe: bool = False) -> PowerSeries:
-    """sum_{r <= order} N(d, r) x^r, guarded by the ampleness bound."""
-    check_threshold(d, order, unsafe)
+def p2_series(d: int, order: int, table: SeveriTable) -> PowerSeries:
+    """sum_{r <= order} N(d, r) x^r, exact for every d >= 1.
+
+    These are the Severi degrees themselves; they equal T_r(plane(d)) only
+    for d >= r (see check_threshold)."""
     return PowerSeries.of([severi(d, r, table) for r in range(order + 1)], "x")
 
 

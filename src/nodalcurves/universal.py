@@ -52,7 +52,7 @@ class FitConfig:
     """Inputs of the multiplicative fit.
 
     Two plane degrees and two primitive K3 squares; the degrees must honor
-    the ampleness bound d >= r for every fitted order r unless unsafe is set.
+    the ampleness bound d >= r for every fitted order r, which has no override.
     """
 
     order: int
@@ -60,7 +60,6 @@ class FitConfig:
     d2: int = 10
     s1: int = 2
     s2: int = 4
-    unsafe: bool = False
 
     def __post_init__(self):
         if self.order < 0:
@@ -73,7 +72,7 @@ class FitConfig:
         if self.s1 == self.s2:
             raise FitConfigError("K3 squares must be distinct, else the system is singular")
         for d in (self.d1, self.d2):
-            check_threshold(d, self.order, self.unsafe)
+            check_threshold(d, self.order)
 
     def basis(self) -> tuple[PairClass, PairClass, PairClass, PairClass]:
         return (plane(self.d1), plane(self.d2), k3_primitive(self.s1), k3_primitive(self.s2))
@@ -83,7 +82,8 @@ class FitConfig:
             "order": self.order,
             "degrees": [self.d1, self.d2],
             "k3_squares": [self.s1, self.s2],
-            "unsafe": self.unsafe,
+            # the bound has no override; the key keeps schema-1 documents byte-identical
+            "unsafe": False,
         }
 
 
@@ -148,8 +148,8 @@ def fit_A(config: FitConfig, table: SeveriTable) -> MultiplicativeFit:
     """Solve for log A1..A4 from two plane degrees and two K3 squares."""
     matrix = [v.as_tuple() for v in config.basis()]
     inputs = [
-        p2_series(config.d1, config.order, table, config.unsafe).log(),
-        p2_series(config.d2, config.order, table, config.unsafe).log(),
+        p2_series(config.d1, config.order, table).log(),
+        p2_series(config.d2, config.order, table).log(),
         k3_series_in_x(config.s1, config.order).log(),
         k3_series_in_x(config.s2, config.order).log(),
     ]
@@ -335,15 +335,15 @@ class ValidationReport:
 
 
 def validate_p2(
-    d: int,
-    fit: MultiplicativeFit,
-    order: int,
-    table: SeveriTable,
-    unsafe: bool = False,
+    d: int, fit: MultiplicativeFit, order: int, table: SeveriTable
 ) -> ValidationReport:
-    """Compare the fitted series against freshly computed Severi degrees."""
+    """Compare the fitted series against freshly computed Severi degrees.
+
+    The held-out degree must honor the ampleness bound d >= r, checked before
+    any Severi work."""
+    check_threshold(d, order)
     predicted = evaluate(plane(d), fit, order)
-    actual = p2_series(d, order, table, unsafe)
+    actual = p2_series(d, order, table)
     for n in range(order + 1):
         if predicted.coeff(n) != actual.coeff(n):
             return ValidationReport(d, order, False, (n, predicted.coeff(n), int(actual.coeff(n))))

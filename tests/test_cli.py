@@ -291,10 +291,12 @@ def test_cache_garbage_middle_line_exits_2(tmp_path):
         '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^\\u0032", "value": "1"}\n',
         '{"format": "severi-cache-1"}\n{"key": "3:0:-|1^2", "value": "1"}\n',
         '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^1 1", "value": "1"}\n',
+        '{"format":"severi-cache-1"}\n',
+        '{"format": "severi-cache-0"}\n{"key": "2:0:-|1^2", "value": "1"}\n',
     ],
     ids=["no-key", "no-value", "list-line", "key-not-text", "list-header", "not-json-header",
          "compact-separators", "number-value", "plus-value", "unicode-escape",
-         "weight-mismatch", "profile-not-canonical"],
+         "weight-mismatch", "profile-not-canonical", "compact-header", "other-version"],
 )
 def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
     cache = tmp_path / "table.jsonl"
@@ -442,6 +444,34 @@ def test_genus_series_without_a_fit_saves_a_header_only_cache(tmp_path):
     )
     assert doc_of(proc)["result"]["series"]["order"] == 3
     assert cache.read_text() == '{"format": "severi-cache-1"}\n'
+
+
+FIT_ARGS = {
+    "fit": ("fit", "--order", "1"),
+    "evaluate": ("evaluate", "--L2", "1", "--LK", "-3", "--c1sq", "9", "--c2", "3",
+                 "--order", "1"),
+    "genus-series": ("genus-series", "--r", "0", "--Ksq", "9", "--m", "-3", "--chiO", "1",
+                     "--order", "1"),
+    "validate": ("validate", "--d", "11", "--order", "1"),
+}
+
+
+@pytest.mark.parametrize("command", list(FIT_ARGS))
+def test_unsafe_is_no_flag(command):
+    proc = run_cli(*FIT_ARGS[command], "--unsafe", "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_fit_below_the_ampleness_bound_exits_2_naming_r():
+    # N(14, 3) = 20064730, but a fit at degrees (2, 3) would print 20064378
+    proc = run_cli(
+        "evaluate", "--L2", "196", "--LK", "-42", "--c1sq", "9", "--c2", "3", "--order", "3",
+        "--degrees", "2,3", "--output", "pretty",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "r = 3" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_fit_takes_no_qorder():

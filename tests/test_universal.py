@@ -10,8 +10,10 @@ from nodalcurves import (
     DoublePointData,
     FitConfig,
     FitConfigError,
+    MultiplicativeFit,
     PairClass,
     PowerSeries,
+    SeveriTable,
     close_relation,
     convert,
     convert_back,
@@ -66,7 +68,6 @@ def test_config_rejects_bad_k3_squares():
 def test_config_enforces_threshold():
     with pytest.raises(AmplenessThresholdError):
         FitConfig(order=3, d1=2, d2=4)
-    FitConfig(order=3, d1=2, d2=4, unsafe=True)
     FitConfig(order=3, d1=3, d2=4)
 
 
@@ -163,14 +164,24 @@ def test_fit_at_the_ampleness_bound_matches_the_old_degrees(order, table):
     assert low.a == high.a
 
 
-def test_mismatched_fit_is_reported(table):
-    # degrees far below the threshold corrupt the order-three column
-    bad = fit_A(FitConfig(order=3, d1=2, d2=3, unsafe=True), table)
+def test_mismatched_fit_is_reported(fit3, table):
+    # a proven fit with one x^3 coefficient of log A1 bumped
+    coeffs = list(fit3.log_a[0].coeffs)
+    coeffs[3] += 1
+    log_a = (PowerSeries.of(coeffs, "x"),) + fit3.log_a[1:]
+    bad = MultiplicativeFit(fit3.config, log_a, tuple(s.exp() for s in log_a))
     report = validate_p2(14, bad, 3, table)
     assert not report.match
     r, predicted, actual = report.first_mismatch
     assert r == 3
     assert predicted != actual
+
+
+def test_heldout_degree_below_the_bound_is_refused_before_severi_work(fit3):
+    local = SeveriTable()
+    with pytest.raises(AmplenessThresholdError, match="r = 3"):
+        validate_p2(2, fit3, 3, local)
+    assert len(local) == 0
 
 
 def test_evaluate_zero_vector_is_one(fit2):
