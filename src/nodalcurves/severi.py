@@ -32,10 +32,15 @@ table, and a memo key is one int packing (delta, alpha id, beta id); the
 degree is implied, d = I(alpha) + I(beta).  Per-id tables hold each
 profile's weight, canonical text and +-e_m neighbours, and the sub-profile
 and new-contact enumerations are memoized per id, so the hot loop hashes
-and stores plain ints.  SeveriKey, the cache text and the error messages
-translate at the table's boundary.  Values are arbitrary-precision
-integers and entries are write-once.  A table and the intern tables belong
-to one thread: nothing here takes a lock.
+and stores plain ints.  One loop with an explicit stack evaluates a key:
+the promotion terms are built from the neighbour tables, looked up and
+added to a running sum as they are produced; only keys with
+delta >= I(beta) and I(alpha) >= 1 have degree-drop terms, which join the
+same sum; a key with missing deps goes back on the stack once, as a frame
+holding its partial sum and missing terms.  SeveriKey, the cache text and
+the error messages translate at the table's boundary.  Values are
+arbitrary-precision integers and entries are write-once.  A table and the
+intern tables belong to one thread: nothing here takes a lock.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from . import linalg
 from .series import PowerSeries
@@ -355,7 +359,9 @@ class SeveriTable:
         without its newline is a torn append and is ignored."""
         table = SeveriTable()
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            # a byte outside ASCII reads as its \x escape, which no line
+            # as save writes it holds, so it fails as a malformed line
+            with open(path, "r", encoding="ascii", errors="backslashreplace") as fh:
                 lines = fh.read().split("\n")
         except FileNotFoundError:
             return table
@@ -469,34 +475,6 @@ def _gain_ids(pid: int, weight: int, slack: int) -> tuple:
     return tuple(out)
 
 
-def _expand(key: int) -> tuple[int, list[int], list[int]]:
-    """Base value, dep coefficients and dep keys of one recursion step."""
-    delta = key >> _DELTA_SHIFT
-    alpha, beta = (key >> _ID_BITS) & _ID_MASK, key & _ID_MASK
-    ib = _weight[beta]
-    d = _weight[alpha] + ib
-    if d == 1:
-        return (1 if delta == 0 else 0), [], []
-    coeffs: list[int] = []
-    deps: list[int] = []
-    # promote one unassigned contact to an assigned one
-    same_delta = delta << _DELTA_SHIFT
-    for m, lowered in _lowered(beta):
-        coeffs.append(m)
-        deps.append(same_delta | _raised(alpha, m) << _ID_BITS | lowered)
-    # drop the degree by one; delta' = delta - I(alpha') - I(beta) - excess >= 0,
-    # so a negative cap leaves no term, and its empty enumeration is not memoized
-    cap = min(delta - ib, d - 1 - ib)
-    if cap < 0:
-        return 0, coeffs, deps
-    for alpha_p, ia, ca in _sub_ids(alpha, cap):
-        shifted = alpha_p << _ID_BITS
-        for coeff, part in _gain_ids(beta, d - 1 - ia - ib, delta - ia - ib):
-            coeffs.append(ca * coeff)
-            deps.append(part | shifted)
-    return 0, coeffs, deps
-
-
 def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
     """N(d, delta; alpha, beta), memoized; negative delta gives 0 by convention."""
     if key.delta < 0:
@@ -507,25 +485,73 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
         table.hits += 1
         return entries[key]
     table.misses += 1
-    # a key with missing deps goes back on the stack as (key, base, coeffs, deps)
-    # under them, and is summed when it comes up again: its deps are then stored.
-    # No key is stored twice: (d, I(beta)) strictly decreases along deps, so a
-    # key never sits above its own pending tuple on the stack.
+    get = entries.get
+    # Each term is looked up as it is built and added to the running sum.  A
+    # key with missing deps goes back on the stack once, as a frame
+    # (key, sum so far, [coeff, dep, ...] of the missing terms), under them,
+    # and is finished when the frame comes up again: its deps are then stored.
+    # No key is stored twice: (d, I(beta)) strictly decreases along deps, so
+    # a key never sits above its own frame on the stack.
     stack: list = [key]
     while stack:
         top = stack.pop()
-        if isinstance(top, tuple):
-            top, base, coeffs, deps = top
-        elif top in entries:
+        if top.__class__ is tuple:
+            top, total, pending = top
+            for i in range(0, len(pending), 2):
+                total += pending[i] * entries[pending[i + 1]]
+            entries[top] = total
             continue
+        if top in entries:
+            continue
+        delta = top >> _DELTA_SHIFT
+        alpha, beta = (top >> _ID_BITS) & _ID_MASK, top & _ID_MASK
+        ib = _weight[beta]
+        ia = _weight[alpha]
+        if ia + ib == 1:
+            entries[top] = 1 if delta == 0 else 0
+            continue
+        total = 0
+        pending = None
+        # promote one unassigned contact to an assigned one
+        down = _down[beta]
+        if down is None:
+            down = _lowered(beta)
+        up = _up[alpha]
+        same_delta = delta << _DELTA_SHIFT
+        for m, lowered in down:
+            raised = up.get(m)
+            if raised is None:
+                raised = _raised(alpha, m)
+            dep = same_delta | raised << _ID_BITS | lowered
+            value = get(dep)
+            if value is None:
+                if pending is None:
+                    pending = [m, dep]
+                else:
+                    pending += (m, dep)
+            else:
+                total += m * value
+        # drop the degree by one: delta' = delta - I(alpha') - I(beta) - excess
+        # must be >= 0 and I(alpha') <= I(alpha) - 1, so only keys with
+        # delta >= I(beta) and I(alpha) >= 1 have such terms
+        if delta >= ib and ia:
+            for alpha_p, ia_p, ca in _sub_ids(alpha, min(delta - ib, ia - 1)):
+                shifted = alpha_p << _ID_BITS
+                for coeff, part in _gain_ids(beta, ia - 1 - ia_p, delta - ia_p - ib):
+                    dep = part | shifted
+                    value = get(dep)
+                    if value is None:
+                        if pending is None:
+                            pending = [ca * coeff, dep]
+                        else:
+                            pending += (ca * coeff, dep)
+                    else:
+                        total += ca * coeff * value
+        if pending is None:
+            entries[top] = total
         else:
-            base, coeffs, deps = _expand(top)
-            missing = [sub for sub in deps if sub not in entries]
-            if missing:
-                stack.append((top, base, coeffs, deps))
-                stack += missing
-                continue
-        entries[top] = base + sum(map(mul, coeffs, map(entries.__getitem__, deps)))
+            stack.append((top, total, pending))
+            stack += pending[1::2]
     return entries[key]
 
 

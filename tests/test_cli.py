@@ -332,6 +332,34 @@ def test_cache_number_not_spelled_as_save_writes_it_exits_2(tmp_path, old, new):
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"key": "2:0:-|1^2", "value": "é"}\n',
+        '{"key": "2:0:-|1^2", "value": "1"} é\n',
+        '{"key": "2:0:-|1^²", "value": "1"}\n',
+    ],
+    ids=["in-value", "after-line", "in-profile"],
+)
+def test_cache_byte_outside_ascii_exits_2_as_a_malformed_line(tmp_path, line):
+    cache = tmp_path / "table.jsonl"
+    cache.write_bytes(('{"format": "severi-cache-1"}\n' + line).encode("utf-8"))
+    proc = run_cli("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    message = json.loads(proc.stderr)["error"]["message"]
+    assert message.startswith(f"cache file {cache} has a malformed line ")
+
+
+def test_cache_torn_last_line_with_a_byte_outside_ascii_is_ignored(tmp_path):
+    cache = tmp_path / "table.jsonl"
+    cache.write_bytes('{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "va é'.encode("utf-8"))
+    args = ("severi", "--d", "3", "--delta", "1", "--cache", str(cache), "--output", "pretty")
+    assert run_cli(*args).stdout == "N(3:1:-|1^3) = 12\n"
+    assert cache.read_bytes().startswith(b'{"format": "severi-cache-1"}\n{"key": ')
+    assert "é" not in cache.read_text(encoding="utf-8")
+
+
 def test_cache_key_with_two_values_exits_3(tmp_path):
     cache = tmp_path / "table.jsonl"
     cache.write_text(

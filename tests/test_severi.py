@@ -475,6 +475,70 @@ def test_recursion_matches_naive_on_tangency_keys(table):
         assert severi_relative(key, table) == _naive(key, memo)
 
 
+def _check_every_entry_against_naive(table) -> tuple[int, int]:
+    """Decode each stored key from the intern tables and compare its value
+    with _naive; returns how many keys have promotion and degree-drop terms."""
+    from nodalcurves.severi import _DELTA_SHIFT, _ID_BITS, _ID_MASK, _pairs
+
+    memo = {}
+    promoting = dropping = 0
+    for flat, value in table._entries.items():
+        alpha = TangencyProfile(_pairs[(flat >> _ID_BITS) & _ID_MASK])
+        beta = TangencyProfile(_pairs[flat & _ID_MASK])
+        key = SeveriKey(alpha.weight + beta.weight, flat >> _DELTA_SHIFT, alpha, beta)
+        assert value == _naive(key, memo), key.canonical()
+        promoting += key.d > 1 and beta.size > 0
+        dropping += key.delta >= beta.weight and alpha.weight >= 1
+    return promoting, dropping
+
+
+def test_every_entry_of_a_plain_table_matches_naive():
+    local = SeveriTable()
+    for d in range(1, 9):
+        for delta in range(0, 5):
+            severi(d, delta, local)
+    assert len(local) == 718
+    promoting, dropping = _check_every_entry_against_naive(local)
+    assert promoting and dropping
+
+
+def test_every_entry_of_a_tangency_table_matches_naive():
+    import random
+
+    rng = random.Random(5)
+    local = SeveriTable()
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        delta = rng.randint(0, 3)
+        parts = []
+        remaining = d
+        while remaining > 0:
+            p = rng.randint(1, min(3, remaining))
+            parts.append(p)
+            remaining -= p
+        split = rng.randint(0, len(parts))
+        alpha = _profile_of_parts(parts[:split])
+        beta = _profile_of_parts(parts[split:])
+        severi_relative(SeveriKey(d, delta, alpha, beta), local)
+    promoting, dropping = _check_every_entry_against_naive(local)
+    assert promoting and dropping
+
+
+def test_deep_keys_run_on_the_explicit_stack():
+    # each key's deps form a chain through every entry, far deeper than the
+    # default recursion limit, which the loop must neither hit nor raise
+    import sys
+
+    limit = sys.getrecursionlimit()
+    local = SeveriTable()
+    assert severi(200, 0, local) == 1
+    assert len(local) == 20299
+    local = SeveriTable()
+    assert severi(150, 1, local) == 3 * 149**2
+    assert len(local) == 44850
+    assert sys.getrecursionlimit() == limit
+
+
 @pytest.mark.parametrize("text", ["1^2,1^-1", "1^0", "1^2^3", "0", "0^2", "x", "2^", "^2"])
 def test_profile_parse_rejects_tokens_outside_m_or_m_to_the_c(text):
     with pytest.raises(ValueError, match="contact token"):
