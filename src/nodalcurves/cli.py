@@ -10,13 +10,15 @@ Every JSON document embeds a schema version and echoes the mathematical
 parameters of the run, so a run is reproducible from its own output.  The
 timestamp is the only nondeterministic field and --no-timestamp suppresses
 it; execution details (cache path, output format) do not affect results
-and are not echoed.  Evaluation runs on one thread.  Only the six
-subcommands that open a Severi table (severi, severi-table, fit, evaluate,
-genus-series, validate) take --cache, the one way to name the append-only
-cache file, and --threads, which is accepted and ignored.  Each of the six
-loads the cache once before it runs and saves it once after it succeeds,
-genus-series included when it needs no fit.  Exit codes: 0 success, 2 validation error
-(including an unusable --cache path), 3 mathematical inconsistency detected.
+and are not echoed.  Only the five subcommands that print more than one
+format (severi, severi-table, evaluate, decompose, genus-series) take
+--output.  Only the six that open a Severi table (severi, severi-table, fit,
+evaluate, genus-series, validate) take --cache, the one way to name the
+append-only cache file; each loads it once before it runs and saves it once
+after it succeeds, genus-series included when it needs no fit.  Evaluation
+runs on one thread; fit and severi-table accept --threads and ignore it.
+Exit codes: 0 success, 2 validation error (including an unusable --cache
+path), 3 mathematical inconsistency detected.
 """
 
 from __future__ import annotations
@@ -60,7 +62,10 @@ EXIT_INCONSISTENT = 3
 
 
 def _precompute(table: SeveriTable, pairs):
-    """Evaluate the top-level Severi keys once each, in sorted order."""
+    """Evaluate the top-level Severi keys once each, in sorted order.
+
+    No output depends on it.  It stays because perfbench pins severi.calls,
+    and it makes 14 of fit-deep's 16 calls and 186 of cache-roundtrip's 347."""
     for d, delta in sorted(set(pairs)):
         severi(d, delta, table)
 
@@ -248,21 +253,23 @@ def cmd_forms(args) -> tuple[str, int]:
 # ----------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("json",)):
-    """The flags every subcommand takes; --output offers formats, the first the default."""
-    parser.add_argument("--output", choices=formats, default=formats[0])
+def _add_common(parser: argparse.ArgumentParser, formats=()):
+    """--no-timestamp, and --output offering formats, the first the default, if any."""
+    if formats:
+        parser.add_argument("--output", choices=formats, default=formats[0])
     parser.add_argument("--no-timestamp", action="store_true")
 
 
-def _add_table_flags(parser: argparse.ArgumentParser):
+def _add_table_flags(parser: argparse.ArgumentParser, threads=False):
     """The flags of the subcommands that open a Severi table."""
     parser.add_argument("--cache", default=None, help="append-only Severi cache file")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    if threads:  # only fit and severi-table, the subcommands the benchmark passes it to
+        parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
-def _add_fit_params(parser: argparse.ArgumentParser):
+def _add_fit_params(parser: argparse.ArgumentParser, threads=False):
     """The fit's inputs; every subcommand that fits also opens a Severi table."""
-    _add_table_flags(parser)
+    _add_table_flags(parser, threads)
     parser.add_argument("--degrees", default=None, help="two plane degrees, e.g. 9,10")
     parser.add_argument("--k3", default="2,4", help="two even K3 squares (default 2,4)")
 
@@ -287,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--deltamax", type=int, required=True)
     _add_common(p, ("csv", "json"))
-    _add_table_flags(p)
+    _add_table_flags(p, threads=True)
     p.set_defaults(handler=cmd_severi_table)
 
     p = sub.add_parser("fit", help="solve for A1..A4, B1..B4 and the polynomials T_r")
     p.add_argument("--order", type=int, required=True)
-    _add_fit_params(p)
+    _add_fit_params(p, threads=True)
     _add_common(p)
     p.set_defaults(handler=cmd_fit)
 

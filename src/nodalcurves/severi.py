@@ -40,11 +40,13 @@ same sum; a key with missing deps goes back on the stack once, as a frame
 holding its partial sum and missing terms.  SeveriKey, the cache text and
 the error messages translate at the table's boundary.  Values are
 arbitrary-precision integers and entries are write-once.  A table and the
-intern tables belong to one thread: nothing here takes a lock.
+intern tables belong to one thread: no thread lock is taken, and the one
+lock, save's flock on the cache file, keeps saves of separate runs apart.
 """
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import math
 import os
@@ -395,26 +397,25 @@ class SeveriTable:
     def save(self, path):
         """Append entries not yet on disk; writes the header on a fresh file.
 
-        A torn last line is cut off first; a file whose header is torn is
-        started afresh; any other header raises ValueError naming the file."""
-        complete = 0
-        try:
-            with open(path, "rb") as fh:
-                first = fh.readline()
-                complete = _complete_length(fh)
-        except FileNotFoundError:
-            pass
-        if complete:
-            _check_header(path, first[:-1].decode("ascii", "replace"))
-        with open(path, "a", encoding="ascii") as fh:
+        Saves to one path take turns: each holds an exclusive POSIX flock on
+        the file from reading its header to its last append.  A torn last
+        line is cut off first; a file whose header is torn is started
+        afresh; any other header raises ValueError naming the file."""
+        with open(path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after the flush
+            fh.seek(0)
+            first = fh.readline()
+            complete = _complete_length(fh)
+            if complete:
+                _check_header(path, first[:-1].decode("ascii", "replace"))
             fh.truncate(complete)
             if not complete:
-                fh.write(_CACHE_HEADER + "\n")
+                fh.write(f"{_CACHE_HEADER}\n".encode("ascii"))
             entries = self._entries
             new = itertools.islice(entries, self._saved, None)
             # key text is digits and ":|^ -", which JSON writes as is
             fh.writelines(
-                f'{{"key": "{text}", "value": "{entries[key]}"}}\n'
+                f'{{"key": "{text}", "value": "{entries[key]}"}}\n'.encode("ascii")
                 for text, key in sorted((_canonical(key), key) for key in new)
             )
         self._saved = len(self._entries)

@@ -491,6 +491,28 @@ def test_unsafe_is_no_flag(command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (*FIT_ARGS["fit"], "--output", "json"),
+        ("close-relation", "--v1", "1,-3,8,4", "--v2", "0,0,9,3", "--gD", "0", "--degLD", "0",
+         "--output", "json"),
+        (*FIT_ARGS["validate"], "--output", "json"),
+        ("forms", "--order", "2", "--output", "json"),
+        ("severi", "--d", "3", "--delta", "1", "--threads", "1"),
+        (*FIT_ARGS["evaluate"], "--threads", "1"),
+        (*FIT_ARGS["genus-series"], "--threads", "1"),
+        (*FIT_ARGS["validate"], "--threads", "1"),
+    ],
+    ids=["fit-output", "close-relation-output", "validate-output", "forms-output",
+         "severi-threads", "evaluate-threads", "genus-series-threads", "validate-threads"],
+)
+def test_option_that_cannot_change_the_result_is_no_flag(args):
+    proc = run_cli(*args, "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
 def test_fit_below_the_ampleness_bound_exits_2_naming_r():
     # N(14, 3) = 20064730, but a fit at degrees (2, 3) would print 20064378
     proc = run_cli(

@@ -1,7 +1,9 @@
 """Caporaso-Harris recursion: classical counts, tangency cases, node polynomials."""
 
+import fcntl
 import hashlib
 import json
+import threading
 from fractions import Fraction
 
 import pytest
@@ -249,6 +251,23 @@ def test_cache_save_onto_a_header_that_is_not_json_names_the_file(tmp_path):
         local.save(path)
     assert str(path) in str(excinfo.value)
     assert path.read_text() == "garbage\n"
+
+
+def test_cache_save_waits_for_the_file_lock_and_reads_the_header_under_it(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    local = SeveriTable()
+    severi(4, 2, local)
+    with open(path, "ab") as other:  # another run's save, holding the lock on a fresh file
+        fcntl.flock(other, fcntl.LOCK_EX)
+        saver = threading.Thread(target=local.save, args=(path,))
+        saver.start()
+        saver.join(0.2)
+        assert saver.is_alive()
+        assert path.read_bytes() == b""
+        other.write(b'{"format": "severi-cache-1"}\n')
+    saver.join()
+    assert path.read_text().count("format") == 1
+    assert SeveriTable.load(path)._entries == local._entries
 
 
 def test_memo_keys_share_their_profiles(tmp_path):
