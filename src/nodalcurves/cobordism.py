@@ -24,26 +24,22 @@ vector depends only on the genus of D and deg(L|D):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
+from .record import Record
 
 
 class InvariantError(ValueError):
     """A vector violates the Noether or Riemann-Roch integrality constraints."""
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(Record):
     """The vector (L^2, L.K, c1^2, c2) of a surface-line-bundle pair."""
 
-    L2: int
-    LK: int
-    c1sq: int
-    c2: int
+    __slots__ = _fields = ("L2", "LK", "c1sq", "c2")
 
-    def __post_init__(self):
-        for name in ("L2", "LK", "c1sq", "c2"):
+    def __init__(self, L2: int, LK: int, c1sq: int, c2: int):
+        self._set(L2, LK, c1sq, c2)
+        for name in self._fields:
             if not isinstance(getattr(self, name), int):
                 raise InvariantError(f"{name} must be an integer")
         if (self.c1sq + self.c2) % 12 != 0:
@@ -72,27 +68,25 @@ class PairClass:
         return {"L2": self.L2, "LK": self.LK, "c1sq": self.c1sq, "c2": self.c2}
 
 
-@dataclass(frozen=True)
-class AltPairClass:
+class AltPairClass(Record):
     """The equivalent coordinates (L.K, chi(L), chi(O), K^2)."""
 
-    LK: int
-    chiL: int
-    chiO: int
-    Ksq: int
+    __slots__ = _fields = ("LK", "chiL", "chiO", "Ksq")
+
+    def __init__(self, LK: int, chiL: int, chiO: int, Ksq: int):
+        self._set(LK, chiL, chiO, Ksq)
 
     def to_json_dict(self) -> dict:
         return {"LK": self.LK, "chiL": self.chiL, "chiO": self.chiO, "Ksq": self.Ksq}
 
 
-@dataclass(frozen=True)
-class DecompCoefficients:
+class DecompCoefficients(Record):
     """Coefficients on the standard basis; integral for every valid vector."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
+    __slots__ = _fields = ("a1", "a2", "a3", "a4")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int):
+        self._set(a1, a2, a3, a4)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4)
@@ -101,14 +95,13 @@ class DecompCoefficients:
         return {"a1": self.a1, "a2": self.a2, "a3": self.a3, "a4": self.a4}
 
 
-@dataclass(frozen=True)
-class DoublePointData:
+class DoublePointData(Record):
     """Intersection data of a two-component degeneration: g(D) and deg(L|D)."""
 
-    gD: int
-    degLD: int
+    __slots__ = _fields = ("gD", "degLD")
 
-    def __post_init__(self):
+    def __init__(self, gD: int, degLD: int):
+        self._set(gD, degLD)
         if self.gD < 0:
             raise InvariantError("the divisor genus must be nonnegative")
 

@@ -20,9 +20,9 @@ which this module expands to any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 from .series import PowerSeries, SeriesError
 
 FORMS_FORMAT_VERSION = "forms-1"
@@ -93,17 +93,15 @@ def k3_generating(chi: int, order: int) -> PowerSeries:
     return numerator / delta_d2g2_over_q2(order)
 
 
-@dataclass(frozen=True)
-class FormCatalog:
+class FormCatalog(Record):
     """The four q-expansions used throughout, bundled at a common order."""
 
-    order: int
-    g2: PowerSeries
-    dg2: PowerSeries
-    d2g2: PowerSeries
-    delta: PowerSeries
+    __slots__ = _fields = ("order", "g2", "dg2", "d2g2", "delta")
 
-    def __post_init__(self):
+    def __init__(
+        self, order: int, g2: PowerSeries, dg2: PowerSeries, d2g2: PowerSeries, delta: PowerSeries
+    ):
+        self._set(order, g2, dg2, d2g2, delta)
         if self.g2.diff_d() != self.dg2 or self.dg2.diff_d() != self.d2g2:
             raise SeriesError("derivative chain G2 -> DG2 -> D2G2 is inconsistent")
         if self.delta.coeff(0) != 0 or self.delta.coeff(1) != 1:

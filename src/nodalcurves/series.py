@@ -25,10 +25,11 @@ but never consulted by the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+
+from .record import Record
 
 
 class SeriesError(ValueError):
@@ -81,17 +82,17 @@ def _quotient_numerators(f: list[int], g: list[int]) -> list[int]:
 _VAR_SWAP = {"q": "x", "x": "q"}
 
 
-@dataclass(frozen=True, eq=False)
-class PowerSeries:
+class PowerSeries(Record):
     """A truncated formal power series with exact rational coefficients."""
 
-    coeffs: tuple[Fraction, ...]
-    var: str = "q"
+    __slots__ = _fields = ("coeffs", "var")
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[Fraction, ...], var: str = "q"):
+        if len(coeffs) == 0:
             raise SeriesError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(map(_fraction, self.coeffs)))
+        # set directly, not through _set: every series operation builds one
+        object.__setattr__(self, "coeffs", tuple(map(_fraction, coeffs)))
+        object.__setattr__(self, "var", var)
 
     # ------------------------------------------------------------------
     # constructors

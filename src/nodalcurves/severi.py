@@ -51,11 +51,11 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .record import Record
 from .series import PowerSeries
 
 CACHE_FORMAT_VERSION = "severi-cache-1"
@@ -158,17 +158,17 @@ def _lowered(pid: int) -> tuple:
     return down
 
 
-@dataclass(frozen=True)
-class TangencyProfile:
+class TangencyProfile(Record):
     """A finite multiset of contact multiplicities, stored as (m, count) pairs.
 
     Pairs are kept with multiplicities ascending and counts positive, so the
     representation is canonical and profiles can key dictionaries.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()):
+        self._set(pairs)
         last = 0
         for m, c in self.pairs:
             if m <= last:
@@ -248,14 +248,11 @@ _EMPTY_PROFILE = TangencyProfile(())
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeveriKey:
-    d: int
-    delta: int
-    alpha: TangencyProfile
-    beta: TangencyProfile
+class SeveriKey(Record):
+    __slots__ = _fields = ("d", "delta", "alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, d: int, delta: int, alpha: TangencyProfile, beta: TangencyProfile):
+        self._set(d, delta, alpha, beta)
         if self.d < 1:
             raise ProfileWeightMismatchError("degree must be positive")
         if self.alpha.weight + self.beta.weight != self.d:
@@ -355,10 +352,10 @@ class SeveriTable:
         """Load a cache file; a missing file gives an empty table.
 
         The header and every line load only in the exact form save writes,
-        canonical key text included; any other complete line, another format
-        version in the header among them, raises ValueError naming the file,
-        and one key with two values raises AssertionError.  A last line
-        without its newline is a torn append and is ignored."""
+        canonical key text included; any other complete line, an empty one
+        or another format version in the header among them, raises ValueError
+        naming the file, and one key with two values raises AssertionError.
+        A last line without its newline is a torn append and is ignored."""
         table = SeveriTable()
         try:
             # a byte outside ASCII reads as its \x escape, which no line
@@ -376,8 +373,6 @@ class SeveriTable:
         match = _CACHE_LINE.fullmatch
         for line in lines[1:]:
             found = match(line)
-            if found is None and not line.strip():
-                continue
             try:
                 if found is None:
                     raise ValueError("not a line as save writes it")
@@ -590,16 +585,21 @@ def p2_series(d: int, order: int, table: SeveriTable) -> PowerSeries:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodePolyReport:
+class NodePolyReport(Record):
     """Exact interpolation check that d -> N(d, delta) is polynomial of degree 2*delta."""
 
-    delta: int
-    window: tuple[int, ...]
-    values: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]  # ascending powers of d
-    fits: bool
-    mismatches: tuple[tuple[int, Fraction, int], ...] = field(default_factory=tuple)
+    __slots__ = _fields = ("delta", "window", "values", "coefficients", "fits", "mismatches")
+
+    def __init__(
+        self,
+        delta: int,
+        window: tuple[int, ...],
+        values: tuple[int, ...],
+        coefficients: tuple[Fraction, ...],  # ascending powers of d
+        fits: bool,
+        mismatches: tuple[tuple[int, Fraction, int], ...] = (),
+    ):
+        self._set(delta, window, values, coefficients, fits, mismatches)
 
     def predict(self, d: int) -> Fraction:
         acc = Fraction(0)

@@ -32,13 +32,13 @@ K3 forms and are reported, never silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .cobordism import PairClass, k3_primitive, plane
 from .quasimodular import d2g2, delta_d2g2_over_q2, dg2, dg2_over_q, k3_generating
+from .record import Record
 from .series import PowerSeries
 from .severi import SeveriTable, check_threshold, p2_series
 
@@ -47,21 +47,17 @@ class FitConfigError(ValueError):
     """The fit configuration cannot produce a well-posed linear system."""
 
 
-@dataclass(frozen=True)
-class FitConfig:
+class FitConfig(Record):
     """Inputs of the multiplicative fit.
 
     Two plane degrees and two primitive K3 squares; the degrees must honor
     the ampleness bound d >= r for every fitted order r, which has no override.
     """
 
-    order: int
-    d1: int = 9
-    d2: int = 10
-    s1: int = 2
-    s2: int = 4
+    __slots__ = _fields = ("order", "d1", "d2", "s1", "s2")
 
-    def __post_init__(self):
+    def __init__(self, order: int, d1: int = 9, d2: int = 10, s1: int = 2, s2: int = 4):
+        self._set(order, d1, d2, s1, s2)
         if self.order < 0:
             raise FitConfigError("order must be nonnegative")
         if self.d1 < 1 or self.d2 < 1 or self.d1 == self.d2:
@@ -93,13 +89,19 @@ def default_config(order: int) -> FitConfig:
     return FitConfig(order=order, d1=d1, d2=d1 + 1)
 
 
-@dataclass(frozen=True)
-class MultiplicativeFit:
+class MultiplicativeFit(Record):
     """The four log-series and their exponentials, tied to their inputs."""
 
-    config: FitConfig
-    log_a: tuple[PowerSeries, PowerSeries, PowerSeries, PowerSeries]
-    a: tuple[PowerSeries, PowerSeries, PowerSeries, PowerSeries]
+    # no __slots__: the cached polynomials live in the instance __dict__
+    _fields = ("config", "log_a", "a")
+
+    def __init__(
+        self,
+        config: FitConfig,
+        log_a: tuple[PowerSeries, PowerSeries, PowerSeries, PowerSeries],
+        a: tuple[PowerSeries, PowerSeries, PowerSeries, PowerSeries],
+    ):
+        self._set(config, log_a, a)
 
     @property
     def order(self) -> int:
@@ -176,15 +178,14 @@ def evaluate(v: PairClass, fit: MultiplicativeFit, order: int | None = None) -> 
 Exponents = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class UniversalPolynomial:
+class UniversalPolynomial(Record):
     """T_r as an exact polynomial in the four formal variables
     (L^2, LK, c1^2, c2); every monomial has total degree at most r."""
 
-    r: int
-    terms: tuple[tuple[Exponents, Fraction], ...]
+    __slots__ = _fields = ("r", "terms")
 
-    def __post_init__(self):
+    def __init__(self, r: int, terms: tuple[tuple[Exponents, Fraction], ...]):
+        self._set(r, terms)
         for exps, _ in self.terms:
             if sum(exps) > self.r:
                 raise AssertionError(
@@ -222,8 +223,7 @@ def universal_T(r: int, fit: MultiplicativeFit) -> UniversalPolynomial:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GYZResiduals:
+class GYZResiduals(Record):
     """Differences between fitted exponentials and the quasimodular closed forms.
 
     dg2_identity is exp(2*a1) - DG2/q and delta_identity is
@@ -231,24 +231,31 @@ class GYZResiduals:
     Severi data and the K3 forms are consistent.
     """
 
-    dg2_identity: PowerSeries
-    delta_identity: PowerSeries
+    __slots__ = _fields = ("dg2_identity", "delta_identity")
+
+    def __init__(self, dg2_identity: PowerSeries, delta_identity: PowerSeries):
+        self._set(dg2_identity, delta_identity)
 
     @property
     def ok(self) -> bool:
         return self.dg2_identity.is_zero() and self.delta_identity.is_zero()
 
 
-@dataclass(frozen=True)
-class GYZFit:
+class GYZFit(Record):
     """B1, B2 from the fit plus the closed forms B3, B4 and residual report."""
 
-    q_order: int
-    b1: PowerSeries
-    b2: PowerSeries
-    b3: PowerSeries
-    b4: PowerSeries
-    residuals: GYZResiduals
+    __slots__ = _fields = ("q_order", "b1", "b2", "b3", "b4", "residuals")
+
+    def __init__(
+        self,
+        q_order: int,
+        b1: PowerSeries,
+        b2: PowerSeries,
+        b3: PowerSeries,
+        b4: PowerSeries,
+        residuals: GYZResiduals,
+    ):
+        self._set(q_order, b1, b2, b3, b4, residuals)
 
 
 def fit_B(fit: MultiplicativeFit, q_order: int | None = None) -> GYZFit:
@@ -315,12 +322,17 @@ def genus_series(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    d: int
-    order: int
-    match: bool
-    first_mismatch: tuple[int, Fraction, int] | None = None
+class ValidationReport(Record):
+    __slots__ = _fields = ("d", "order", "match", "first_mismatch")
+
+    def __init__(
+        self,
+        d: int,
+        order: int,
+        match: bool,
+        first_mismatch: tuple[int, Fraction, int] | None = None,
+    ):
+        self._set(d, order, match, first_mismatch)
 
     def to_json_dict(self) -> dict:
         doc = {"d": self.d, "order": self.order, "match": self.match}

@@ -293,10 +293,15 @@ def test_cache_garbage_middle_line_exits_2(tmp_path):
         '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^1 1", "value": "1"}\n',
         '{"format":"severi-cache-1"}\n',
         '{"format": "severi-cache-0"}\n{"key": "2:0:-|1^2", "value": "1"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "value": "1"}\n\n'
+        '{"key": "3:1:-|1^3", "value": "12"}\n',
+        '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "value": "1"}\n   \n'
+        '{"key": "3:1:-|1^3", "value": "12"}\n',
     ],
     ids=["no-key", "no-value", "list-line", "key-not-text", "list-header", "not-json-header",
          "compact-separators", "number-value", "plus-value", "unicode-escape",
-         "weight-mismatch", "profile-not-canonical", "compact-header", "other-version"],
+         "weight-mismatch", "profile-not-canonical", "compact-header", "other-version",
+         "blank", "spaces"],
 )
 def test_cache_line_of_the_wrong_shape_exits_2(tmp_path, text):
     cache = tmp_path / "table.jsonl"
@@ -528,3 +533,21 @@ def test_fit_takes_no_qorder():
     proc = run_cli("fit", "--order", "2", "--qorder", "2", "--no-timestamp")
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # every run pays for this import before any work; pytest itself imports
+    # inspect, so only a fresh interpreter can tell, and what a site hook
+    # imported before the package does not count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = (
+        "import sys; before = set(sys.modules); import nodalcurves.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules and m not in before])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
