@@ -274,13 +274,7 @@ def _add_fit_params(parser: argparse.ArgumentParser, threads=False):
     parser.add_argument("--k3", default="2,4", help="two even K3 squares (default 2,4)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nodalcurves",
-        description="Exact nodal-curve counting: Severi degrees, universal polynomials, B-series.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_severi(sub):
     p = sub.add_parser("severi", help="one generalized Severi degree")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
@@ -290,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p)
     p.set_defaults(handler=cmd_severi)
 
+
+def _add_severi_table(sub):
     p = sub.add_parser("severi-table", help="CSV or JSON table of plain Severi degrees")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--deltamax", type=int, required=True)
@@ -297,12 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p, threads=True)
     p.set_defaults(handler=cmd_severi_table)
 
+
+def _add_fit(sub):
     p = sub.add_parser("fit", help="solve for A1..A4, B1..B4 and the polynomials T_r")
     p.add_argument("--order", type=int, required=True)
     _add_fit_params(p, threads=True)
     _add_common(p)
     p.set_defaults(handler=cmd_fit)
 
+
+def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="the fitted series on a class vector")
     p.add_argument("--L2", type=int, required=True)
     p.add_argument("--LK", type=int, required=True)
@@ -313,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_evaluate)
 
+
+def _add_decompose(sub):
     p = sub.add_parser("decompose", help="coefficients on the standard basis")
     p.add_argument("--L2", type=int, required=True)
     p.add_argument("--LK", type=int, required=True)
@@ -322,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_decompose)
 
+
+def _add_close_relation(sub):
     p = sub.add_parser("close-relation", help="ruled correction term and completed vector")
     p.add_argument("--v1", required=True, help="L2,LK,c1sq,c2")
     p.add_argument("--v2", required=True, help="L2,LK,c1sq,c2")
@@ -330,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_close_relation)
 
+
+def _add_genus_series(sub):
     p = sub.add_parser("genus-series", help="the fixed-genus q-product")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--Ksq", type=int, required=True)
@@ -340,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_genus_series)
 
+
+def _add_validate(sub):
     p = sub.add_parser("validate", help="held-out plane degree against the fit")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
@@ -347,17 +355,63 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_validate)
 
+
+def _add_forms(sub):
     p = sub.add_parser("forms", help="q-expansions of G2, DG2, D2G2, Delta")
     p.add_argument("--order", type=int, required=True)
     _add_common(p)
     p.set_defaults(handler=cmd_forms)
 
+
+# in the order --help lists them
+_SUBCOMMANDS = {
+    "severi": _add_severi,
+    "severi-table": _add_severi_table,
+    "fit": _add_fit,
+    "evaluate": _add_evaluate,
+    "decompose": _add_decompose,
+    "close-relation": _add_close_relation,
+    "genus-series": _add_genus_series,
+    "validate": _add_validate,
+    "forms": _add_forms,
+}
+
+
+def _parser(names, metavar=None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nodalcurves",
+        description="Exact nodal-curve counting: Severi degrees, universal polynomials, B-series.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _SUBCOMMANDS[name](sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all nine subcommands."""
+    return _parser(_SUBCOMMANDS)
+
+
+def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser main uses: only the subcommand argv[0] names, if it names one.
+
+    Every run then skips building the other eight.  The metavar keeps all
+    nine names in the usage line, which an unrecognized trailing argument
+    prints; the full parser leaves metavar unset, since setting it would
+    also rename the positional in the errors for a missing or unknown
+    command.  Any other argv, such as [], ["-h"] or an unknown command, gets
+    the full parser.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _parser([argv[0]], "{" + ",".join(_SUBCOMMANDS) + "}")
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser_for(argv).parse_args(argv)
     try:
         if "cache" in args:  # the subcommands that open a Severi table
             table = SeveriTable.load(args.cache) if args.cache else SeveriTable()

@@ -5,10 +5,16 @@ D is the operator q*d/dq, and Delta(q) = q * prod_{k>0} (1 - q^k)^24 is the
 discriminant cusp form.  Everything here is a formal q-series with rational
 coefficients; no analytic structure in tau is used.
 
-Delta is computed as q * J^8, where Jacobi's identity gives the sparse series
-J = prod_{k>0} (1 - q^k)^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2).
-Divisions by powers of q are explicit coefficient shifts with a valuation
-check, never formal series division, so a missing leading term fails loudly.
+G2, DG2 and D2G2 are read off one divisor-sum sieve, and Delta comes from
+the eta-product recurrence: with prod_{k>0} (1 - q^k)^24 = sum a_n q^n,
+applying q*d/dq to its logarithm gives
+
+    n * a_n = -24 * sum_{k=1..n} sigma_1(k) * a_(n-k),
+
+so every coefficient is computed over the integers and becomes a Fraction
+once, when the series is built.  Divisions by powers of q are explicit
+coefficient shifts with a valuation check, never formal series division, so
+a missing leading term fails loudly.
 
 The closed-form generating function for a generic K3 surface with a
 primitive class of Euler characteristic chi is
@@ -21,6 +27,7 @@ which this module expands to any order.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .record import Record
 from .series import PowerSeries, SeriesError
@@ -43,31 +50,43 @@ def sigma1(n: int) -> int:
     return total
 
 
-def eisenstein_g2(order: int) -> PowerSeries:
-    """G2 = -1/24 + sum_{n>0} sigma_1(n) q^n through the given order."""
+def _divisor_sums(order: int) -> list[int]:
+    """[0, sigma_1(1), ..., sigma_1(order)], from one sieve over the divisors."""
     if order < 0:
         raise SeriesError("order must be nonnegative")
-    coeffs = [Fraction(-1, 24)] + [Fraction(sigma1(n)) for n in range(1, order + 1)]
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for n in range(d, order + 1, d):
+            sigma[n] += d
+    return sigma
+
+
+def eisenstein_g2(order: int) -> PowerSeries:
+    """G2 = -1/24 + sum_{n>0} sigma_1(n) q^n through the given order."""
+    coeffs = _divisor_sums(order)
+    coeffs[0] = Fraction(-1, 24)
     return PowerSeries.of(coeffs, "q")
 
 
 def dg2(order: int) -> PowerSeries:
     """DG2 = sum n*sigma_1(n) q^n."""
-    return eisenstein_g2(order).diff_d()
+    return PowerSeries.of([n * s for n, s in enumerate(_divisor_sums(order))], "q")
 
 
 def d2g2(order: int) -> PowerSeries:
     """D2G2 = sum n^2*sigma_1(n) q^n."""
-    return dg2(order).diff_d()
+    return PowerSeries.of([n * n * s for n, s in enumerate(_divisor_sums(order))], "q")
 
 
 def discriminant_delta(order: int) -> PowerSeries:
-    """Delta = q * J^8 with J = sum (-1)^n (2n+1) q^(n(n+1)/2) (Jacobi's identity)."""
+    """Delta = q * prod (1 - q^k)^24 through the eta-product recurrence, in integers."""
     if order < 1:
         raise SeriesError("Delta needs order >= 1")
-    jacobi = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(order)}
-    j = PowerSeries.of([jacobi.get(k, 0) for k in range(order)], "q")
-    return (j**8).shift_up(1)
+    sigma = _divisor_sums(order - 1)[1:]
+    a = [1]
+    for n in range(1, order):
+        a.append(-24 * sum(map(mul, sigma, reversed(a))) // n)
+    return PowerSeries.of([0] + a, "q")
 
 
 def dg2_over_q(order: int) -> PowerSeries:
@@ -109,12 +128,11 @@ class FormCatalog(Record):
 
     @staticmethod
     def build(order: int) -> FormCatalog:
-        g2 = eisenstein_g2(order)
         return FormCatalog(
             order=order,
-            g2=g2,
-            dg2=g2.diff_d(),
-            d2g2=g2.diff_d().diff_d(),
+            g2=eisenstein_g2(order),
+            dg2=dg2(order),
+            d2g2=d2g2(order),
             delta=discriminant_delta(order),
         )
 

@@ -15,9 +15,10 @@ Products and quotients run on integer kernels: each operand is written once
 as integer numerators over the lcm of its denominators, the convolution or
 division recurrence runs over Python ints, and one Fraction is built per
 output coefficient.  log is the integral of f'/f through the division
-kernel.  pow is the one power routine (** is the same method): an integral
-exponent is binary powering, any other is exp(e * log f) (Brent and Kung,
-Fast algorithms for manipulating formal power series, J. ACM 1978).
+kernel, and revert keeps its running Lagrange power in integers too.  pow
+is the one power routine (** is the same method): an integral exponent is
+binary powering that starts from f, any other is exp(e * log f) (Brent and
+Kung, Fast algorithms for manipulating formal power series, J. ACM 1978).
 
 The variable tag ("q", "x", ...) is documentation only; it is carried along
 but never consulted by the arithmetic.
@@ -100,7 +101,7 @@ class PowerSeries(Record):
 
     @staticmethod
     def of(values, var: str = "q") -> PowerSeries:
-        return PowerSeries(tuple(_fraction(v) for v in values), var)
+        return PowerSeries(tuple(values), var)
 
     @staticmethod
     def zero(order: int, var: str = "q") -> PowerSeries:
@@ -297,21 +298,27 @@ class PowerSeries(Record):
     def pow(self, e) -> PowerSeries:
         """f**e for rational e; the one power routine, also bound as **.
 
-        An integral e is binary powering, for any constant term; a negative
-        one inverts the power, so the division raises NonUnitDivisorError
-        for a zero constant term.  Any other e is exp(e * log f), so log
-        raises NormalizationError unless the constant term is one.
+        An integral e is binary powering, for any constant term; it starts
+        from f itself, so f**1 is f and f**0 is one at f's order and
+        variable.  A negative e inverts the power, so the division raises
+        NonUnitDivisorError for a zero constant term.  Any other e is
+        exp(e * log f), so log raises NormalizationError unless the
+        constant term is one.
         """
         e = _fraction(e)
         if e.denominator != 1:
             return (self.log() * e).exp()
-        result, base, n = PowerSeries.one(self.order, self.var), self, abs(e.numerator)
-        while n:
+        n = abs(e.numerator)
+        if n == 0:
+            return PowerSeries.one(self.order, self.var)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
+            if not n:
+                break
+            base = base * base
         return 1 / result if e < 0 else result
 
     __pow__ = pow
@@ -336,19 +343,31 @@ class PowerSeries(Record):
     def revert(self) -> PowerSeries:
         """Compositional inverse of a series with valuation exactly one.
 
-        Lagrange inversion: [t^n] h = [t^(n-1)] (t/g)^n / n, with t/g
-        computed once and its powers kept as one running product.
+        Lagrange inversion: [t^n] h = [t^(n-1)] (t/g)^n / n.  With g/t =
+        G/dg over integer numerators G, the division kernel writes t/g as
+        p/G0^m over integers p, where m is the order.  The running power
+        (t/g)^n is kept as integer numerators over G0^(m*n), so one
+        Fraction is built per output coefficient.
         """
         g = self.coeffs
         if g[0] != 0:
             raise ValuationError("reversion needs zero constant term")
-        if self.order < 1 or g[1] == 0:
+        m = self.order
+        if m < 1 or g[1] == 0:
             raise ValuationError("reversion needs a nonzero linear coefficient")
-        t_over_g = 1 / PowerSeries(g[1:], self.var)
-        power, h = PowerSeries.one(self.order - 1), [Fraction(0)]
-        for n in range(1, self.order + 1):
-            power = power * t_over_g
-            h.append(power.coeffs[n - 1] / n)
+        shifted, dg = _numerators(g[1:], m - 1)  # G, the numerators of g/t
+        g0 = shifted[0]
+        # num[k] = G0^(k+1) * [t^k](1/G)
+        num = _quotient_numerators([1] + [0] * (m - 1), shifted)
+        p = [dg * x * g0 ** (m - 1 - k) for k, x in enumerate(num)]
+        reversed_p = p[::-1]  # reversed_p[m-1-j] is p_j, as in __mul__
+        d = g0**m
+        power, den, h = p, d, [Fraction(0)]
+        for n in range(1, m + 1):
+            h.append(Fraction(power[n - 1], n * den))
+            if n < m:
+                power = [sum(map(mul, power, reversed_p[m - 1 - k :])) for k in range(m)]
+                den *= d
         return PowerSeries(tuple(h), _VAR_SWAP.get(self.var, self.var))
 
     def diff_d(self) -> PowerSeries:

@@ -41,16 +41,24 @@ def test_g2_named_coefficients():
     assert g2.coeff(6) == 12  # 1 + 2 + 3 + 6
 
 
+def test_g2_matches_trial_division_through_500():
+    series = eisenstein_g2(500)
+    assert series.coeff(0) == F(-1, 24)
+    for n in range(1, 501):
+        assert series.coeff(n) == divisor_sum(n)
+
+
 def test_dg2_matches_independent_divisor_sums():
-    series = dg2(20)
+    series = dg2(500)
     assert series.coeff(0) == 0
-    for n in range(1, 21):
+    for n in range(1, 501):
         assert series.coeff(n) == n * divisor_sum(n)
 
 
 def test_d2g2_is_n_squared_sigma():
-    series = d2g2(20)
-    for n in range(1, 21):
+    series = d2g2(500)
+    assert series.coeff(0) == 0
+    for n in range(1, 501):
         assert series.coeff(n) == n * n * divisor_sum(n)
 
 
@@ -88,9 +96,33 @@ def test_delta_against_plain_integer_product(order):
     assert [int(c) for c in delta.coeffs] == expected
 
 
+def jacobi_delta(order):
+    """q * J^8 in plain integers, with J = prod (1 - q^k)^3 from Jacobi's identity.
+
+    J = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2) involves no divisor sums, so
+    this oracle shares nothing with the sigma_1 recurrence Delta is built from.
+    """
+    def square(a):
+        return [sum(a[i] * a[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+    j = [0] * order
+    n = 0
+    while n * (n + 1) // 2 < order:
+        j[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    return [0] + square(square(square(j)))
+
+
+def test_delta_against_the_jacobi_expansion_through_150():
+    expected = jacobi_delta(150)
+    for order in range(1, 151):
+        assert discriminant_delta(order).coeffs == tuple(expected[: order + 1])
+
+
 def test_delta_satisfies_its_modular_differential_equation():
-    # independent of any product: D(Delta) = E2 * Delta with E2 = -24 * G2,
-    # which fixes every coefficient once the leading one is 1
+    # D(Delta) = E2 * Delta with E2 = -24 * G2 fixes every coefficient once
+    # the leading one is 1; Delta's recurrence is this identity, so the
+    # Jacobi expansion above is the independent check
     order = 150
     delta = discriminant_delta(order)
     assert delta.coeff(0) == 0 and delta.coeff(1) == 1

@@ -14,6 +14,7 @@ from nodalcurves import (
     PowerSeries,
     SeriesError,
     ValuationError,
+    dg2,
     genus_series,
 )
 
@@ -379,6 +380,19 @@ def test_pow_of_a_series_without_constant_term(n):
     assert q.pow(n) == q**n == product_power(q, n)
 
 
+def test_pow_at_zero_is_one_at_the_order_and_variable():
+    for f in (series(F(3, 2), 1, 0, 5, var="x"), series(0, 0, 2, 1, var="x")):
+        one = f.pow(0)
+        assert one.coeffs == (F(1), F(0), F(0), F(0)) and one.var == "x"
+
+
+def test_pow_at_one_and_minus_one():
+    f = series(F(-3, 2), 1, F(1, 3), 0, -2, var="x")
+    assert f.pow(1) == f and f.pow(1).var == "x"
+    inverse = f.pow(-1)
+    assert inverse == 1 / f and inverse.var == "x"
+
+
 def test_pow_pins():
     assert PowerSeries.of([2, 1, 0, 0]).pow(2) == series(4, 4, 1, 0)
     assert PowerSeries.identity(4, "q").pow(2) == series(0, 0, 1, 0, 0)
@@ -399,3 +413,40 @@ def test_pow_domain_errors():
 def test_constant_constructors_refuse_a_negative_order(make):
     with pytest.raises(SeriesError, match="nonnegative"):
         make()
+
+
+# ----------------------------------------------------------------------
+# reversion over integer numerators against the Fraction-product loop
+# ----------------------------------------------------------------------
+
+
+def reference_revert(g):
+    """Lagrange inversion with a running power of t/g in plain Fraction products."""
+    m = len(g) - 1
+    t_over_g = reference_div([F(1)] + [F(0)] * (m - 1), g[1:])
+    power, h = [F(1)] + [F(0)] * (m - 1), [F(0)]
+    for n in range(1, m + 1):
+        power = reference_mul(power, t_over_g)
+        h.append(power[n - 1] / n)
+    return h
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [0, F(-3, 2), F(5, 7), 0, F(-2, 3), 1, F(1, 11), 0, 0, F(7, 4), -3, F(2, 9)],
+        [0, F(2, 5), 0, F(-1, 6), F(9, 2), 0, -1, F(3, 8), 0, 0, F(1, 13), 4, F(-5, 3), 1],
+    ],
+    ids=["order-11", "order-13"],
+)
+def test_revert_with_a_rational_linear_coefficient_matches_the_fraction_loop(g):
+    g = [F(c) for c in g]
+    inverse = PowerSeries.of(g, "q").revert()
+    assert exact(inverse) == reference_revert(g)
+    assert inverse.var == "x"
+
+
+def test_dg2_revert_at_order_thirty_is_pinned():
+    # recorded with the Fraction-product reversion
+    inverse = dg2(30).revert()
+    assert digest(inverse) == "abbd9397e349a1aafd42350471ebde098eae5d3d4153c6eacb3c4d74e01cef9c"
