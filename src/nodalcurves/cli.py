@@ -40,11 +40,13 @@ from .severi import (
     SeveriKey,
     SeveriTable,
     TangencyProfile,
+    check_threshold,
     severi,
     severi_relative,
 )
 from .universal import (
     FitConfig,
+    check_genus_series,
     default_config,
     evaluate,
     fit_A,
@@ -217,6 +219,7 @@ def cmd_close_relation(args) -> tuple[str, int]:
 
 
 def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
+    check_genus_series(args.r, args.order)
     gyz = None
     if args.Ksq or args.m:
         gyz = fit_B(_build_fit(args, table), args.order)
@@ -234,6 +237,7 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
 
 
 def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
+    check_threshold(args.d, args.order)
     fit = _build_fit(args, table)
     _precompute(table, [(args.d, r) for r in range(args.order + 1)])
     report = validate_p2(args.d, fit, args.order, table)

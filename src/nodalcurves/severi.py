@@ -30,18 +30,20 @@ Evaluation is memoized in a SeveriTable.  Inside the recursion a tangency
 profile is a small int id, given once per process by a module-level intern
 table, and a memo key is one int packing (delta, alpha id, beta id); the
 degree is implied, d = I(alpha) + I(beta).  Per-id tables hold each
-profile's weight, canonical text and +-e_m neighbours, and the sub-profile
-and new-contact enumerations are memoized per id, so the hot loop hashes
-and stores plain ints.  One loop with an explicit stack evaluates a key:
-the promotion terms are built from the neighbour tables, looked up and
-added to a running sum as they are produced; only keys with
-delta >= I(beta) and I(alpha) >= 1 have degree-drop terms, which join the
-same sum; a key with missing deps goes back on the stack once, as a frame
-holding its partial sum and missing terms.  SeveriKey, the cache text and
-the error messages translate at the table's boundary.  Values are
-arbitrary-precision integers and entries are write-once.  A table and the
-intern tables belong to one thread: no thread lock is taken, and the one
-lock, save's flock on the cache file, keeps saves of separate runs apart.
+profile's weight, canonical text and +-e_m neighbours, so the hot loop
+hashes and stores plain ints.  The sub-profile and new-contact term tables
+are memoized per id, and each one for cap or slack s is the one for s - 1
+plus the terms at exactly s, so every term is built once.  One loop with
+an explicit stack evaluates a key: the promotion terms are built from the
+neighbour tables, looked up and added to a running sum as they are
+produced; only keys with delta >= I(beta) and I(alpha) >= 1 have
+degree-drop terms, which join the same sum; a key with missing deps goes
+back on the stack once, as a frame holding its partial sum and missing
+terms.  SeveriKey, the cache text and the error messages translate at the
+table's boundary.  Values are arbitrary-precision integers and entries are
+write-once.  A table and the intern tables belong to one thread: no thread
+lock is taken, and the one lock, save's flock on the cache file, keeps
+saves of separate runs apart.
 """
 
 from __future__ import annotations
@@ -431,44 +433,44 @@ def _partitions(n: int, largest: int | None = None) -> tuple[tuple[int, ...], ..
 
 
 @lru_cache(maxsize=None)
-def _new_contact_pairs(weight: int, max_excess: int) -> tuple:
-    """(gamma, excess, prod_m m^gamma[m]) for I(gamma) = weight, excess <= max_excess.
+def _new_contact_pairs(weight: int, excess: int) -> tuple:
+    """(gamma, prod_m m^gamma[m]) for I(gamma) = weight and excess exactly excess.
 
     A profile of excess e is 1^k joined with parts (nu_i + 1) for a partition
     nu of e, so only tiny partitions are touched."""
     out = []
-    for excess in range(0, max_excess + 1):
-        for nu in _partitions(excess):
-            ones = weight - excess - len(nu)
-            if ones < 0:
-                continue
+    for nu in _partitions(excess):
+        ones = weight - excess - len(nu)
+        if ones >= 0:
             gamma = _plus(((1, ones),), tuple((part + 1, 1) for part in nu))
-            out.append((gamma, excess, math.prod(m**c for m, c in gamma)))
+            out.append((gamma, math.prod(m**c for m, c in gamma)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _sub_ids(pid: int, cap: int) -> tuple:
-    """(sub id, I(sub), binomial weight) for every sub <= profile pid with I(sub) <= cap."""
-    return tuple((_intern(sub), w, b) for sub, w, b in _sub_profiles(_pairs[pid], cap))
+    """(sub id, I(sub), binomial weight) for every sub <= profile pid with
+    I(sub) <= cap: the tuple for cap - 1, then the subs with I(sub) = cap."""
+    prefix = _sub_ids(pid, cap - 1) if cap else ()
+    subs = _sub_profiles(_pairs[pid], cap)
+    return prefix + tuple((_intern(sub), w, b) for sub, w, b in subs if w == cap)
 
 
 @lru_cache(maxsize=None)
 def _gain_ids(pid: int, weight: int, slack: int) -> tuple:
-    """The degree-drop terms of unassigned profile beta = pid: for each new
-    contact profile gamma with I(gamma) = weight and excess <= slack, the
-    coefficient prod_m m^gamma[m] * binom(beta + gamma, beta) and the key of
-    (slack - excess, alpha' = 0, beta + gamma), to be or-ed with alpha'."""
+    """The degree-drop terms of unassigned profile beta = pid: the tuple for
+    slack - 1, then (prod_m m^gamma[m] * binom(beta + gamma, beta),
+    part = id(beta + gamma) - (excess << _DELTA_SHIFT)) for each new contact
+    profile gamma with I(gamma) = weight and excess = slack.  part plus
+    s << _DELTA_SHIFT | alpha' << _ID_BITS is the key of (s - excess, alpha',
+    beta + gamma) for every s >= excess, as both ids sit below _DELTA_SHIFT."""
     beta = _pairs[pid]
     counts = dict(beta)
     out = []
-    for gamma, excess, power in _new_contact_pairs(weight, slack):
-        coeff = power
-        for m, c in gamma:
-            coeff *= math.comb(counts.get(m, 0) + c, c)
-        delta_p = slack - excess
-        out.append((coeff, delta_p << _DELTA_SHIFT | _intern(_plus(beta, gamma))))
-    return tuple(out)
+    for gamma, power in _new_contact_pairs(weight, slack):
+        coeff = power * math.prod(math.comb(counts.get(m, 0) + c, c) for m, c in gamma)
+        out.append((coeff, _intern(_plus(beta, gamma)) - (slack << _DELTA_SHIFT)))
+    return (_gain_ids(pid, weight, slack - 1) if slack else ()) + tuple(out)
 
 
 def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
@@ -507,7 +509,7 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
             entries[top] = 1 if delta == 0 else 0
             continue
         total = 0
-        pending = None
+        pending = []
         # promote one unassigned contact to an assigned one
         down = _down[beta]
         if down is None:
@@ -521,33 +523,29 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
             dep = same_delta | raised << _ID_BITS | lowered
             value = get(dep)
             if value is None:
-                if pending is None:
-                    pending = [m, dep]
-                else:
-                    pending += (m, dep)
+                pending += (m, dep)
             else:
                 total += m * value
         # drop the degree by one: delta' = delta - I(alpha') - I(beta) - excess
         # must be >= 0 and I(alpha') <= I(alpha) - 1, so only keys with
-        # delta >= I(beta) and I(alpha) >= 1 have such terms
+        # delta >= I(beta) and I(alpha) >= 1 have such terms; a profile's
+        # excess is below its weight (or 0), so no larger slack adds a term
         if delta >= ib and ia:
             for alpha_p, ia_p, ca in _sub_ids(alpha, min(delta - ib, ia - 1)):
-                shifted = alpha_p << _ID_BITS
-                for coeff, part in _gain_ids(beta, ia - 1 - ia_p, delta - ia_p - ib):
-                    dep = part | shifted
+                slack, weight = delta - ia_p - ib, ia - 1 - ia_p
+                shifted = slack << _DELTA_SHIFT | alpha_p << _ID_BITS
+                for coeff, part in _gain_ids(beta, weight, min(slack, weight)):
+                    dep = shifted + part
                     value = get(dep)
                     if value is None:
-                        if pending is None:
-                            pending = [ca * coeff, dep]
-                        else:
-                            pending += (ca * coeff, dep)
+                        pending += (ca * coeff, dep)
                     else:
                         total += ca * coeff * value
-        if pending is None:
-            entries[top] = total
-        else:
+        if pending:
             stack.append((top, total, pending))
             stack += pending[1::2]
+        else:
+            entries[top] = total
     return entries[key]
 
 

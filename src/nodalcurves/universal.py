@@ -283,6 +283,14 @@ def fit_B(fit: MultiplicativeFit, q_order: int | None = None) -> GYZFit:
     return GYZFit(q_order=m, b1=b1, b2=b2, b3=b3, b4=b4, residuals=residuals)
 
 
+def check_genus_series(r: int, order: int):
+    """Enforce r >= 0 and order >= 1, which genus_series needs whatever the fit."""
+    if r < 0:
+        raise ValueError("negative powers of DG2 leave the power series ring")
+    if order < 1:
+        raise ValueError("the product has positive valuation; order must be >= 1")
+
+
 def genus_series(
     r: int,
     Ksq: int,
@@ -296,10 +304,7 @@ def genus_series(
     B1 and B2 only enter with nonzero exponent, so a fit is required exactly
     when Ksq or m is nonzero.
     """
-    if r < 0:
-        raise ValueError("negative powers of DG2 leave the power series ring")
-    if order < 1:
-        raise ValueError("the product has positive valuation; order must be >= 1")
+    check_genus_series(r, order)
     result = d2g2(order)
     if r:
         result = result * dg2(order) ** r

@@ -433,6 +433,25 @@ def test_severi_negative_delta_exits_2_naming_the_flag():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("validate", "--d", "5", "--order", "6"), "ampleness bound"),
+        (("genus-series", "--r", "-1", "--Ksq", "1", "--m", "0", "--chiO", "0", "--order", "3"),
+         "negative powers of DG2"),
+        (("genus-series", "--r", "0", "--Ksq", "1", "--m", "0", "--chiO", "0", "--order", "0"),
+         "order must be >= 1"),
+    ],
+    ids=["validate-below-threshold", "genus-series-negative-r", "genus-series-order-0"],
+)
+def test_bad_input_is_refused_before_any_severi_work(argv, message):
+    args = cli.build_parser().parse_args(argv)
+    table = SeveriTable()
+    with pytest.raises(ValueError, match=message):
+        args.handler(args, table)
+    assert len(table) == 0
+
+
+@pytest.mark.parametrize(
     "args, code",
     [(("severi", "--d", "3", "--delta", "1", "--output", "pretty"), 0),
      (("severi", "--d", "3", "--delta", "-1"), 2)],

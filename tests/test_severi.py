@@ -3,6 +3,9 @@
 import fcntl
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -455,7 +458,11 @@ def test_new_contact_enumeration_matches_raw_partitions():
 
     for weight in range(0, 9):
         for cap in range(0, 5):
-            generated = {(TangencyProfile(g), e) for g, e, _ in _new_contact_pairs(weight, cap)}
+            generated = {
+                (TangencyProfile(g), e)
+                for e in range(cap + 1)
+                for g, _ in _new_contact_pairs(weight, e)
+            }
             expected = set()
             for parts in _partitions_of(weight):
                 profile = _profile_of_parts(parts)
@@ -546,8 +553,6 @@ def test_every_entry_of_a_tangency_table_matches_naive():
 def test_deep_keys_run_on_the_explicit_stack():
     # each key's deps form a chain through every entry, far deeper than the
     # default recursion limit, which the loop must neither hit nor raise
-    import sys
-
     limit = sys.getrecursionlimit()
     local = SeveriTable()
     assert severi(200, 0, local) == 1
@@ -556,6 +561,51 @@ def test_deep_keys_run_on_the_explicit_stack():
     assert severi(150, 1, local) == 3 * 149**2
     assert len(local) == 44850
     assert sys.getrecursionlimit() == limit
+
+
+def test_term_tables_share_their_prefixes():
+    # the table for slack (or cap) s starts with the very term tuples of the
+    # one for s - 1, so each term is stored once however many slacks ask for it
+    from nodalcurves.severi import _gain_ids, _ids, _sub_ids
+
+    severi(12, 3, SeveriTable())
+    reached = [
+        (lambda s: _gain_ids(_ids[()], 11, s), 3),
+        (lambda s: _gain_ids(_ids[((1, 1),)], 10, s), 2),
+        (lambda s: _sub_ids(_ids[((1, 12),)], s), 3),
+        (lambda s: _sub_ids(_ids[((1, 9), (2, 1))], s), 2),
+    ]
+    for table, top in reached:
+        assert len(table(top)) > len(table(0))
+        for s in range(1, top + 1):
+            longer, shorter = table(s), table(s - 1)
+            assert len(longer) >= len(shorter)
+            assert all(a is b for a, b in zip(longer, shorter))
+
+
+def test_slack_far_above_the_weight_builds_only_small_partitions():
+    # severi(6, 50) asks for slacks up to 50, but a new contact profile's
+    # excess is below its weight, so no partition of more than 5 is needed and
+    # the prefix chains stay shallower than the degree; a fresh interpreter
+    # starts with empty enumeration caches and the default recursion limit
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "from nodalcurves.severi import SeveriTable, _partitions, severi\n"
+        "limit, table = sys.getrecursionlimit(), SeveriTable()\n"
+        "value = severi(6, 50, table)\n"
+        "print(value, len(table), _partitions.cache_info().currsize)\n"
+        "print(sys.getrecursionlimit() == limit)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, entries, partitions, same_limit = proc.stdout.split()
+    assert (value, entries, same_limit) == ("0", "493", "True")
+    assert int(partitions) <= 21
 
 
 @pytest.mark.parametrize("text", ["1^2,1^-1", "1^0", "1^2^3", "0", "0^2", "x", "2^", "^2"])
