@@ -553,6 +553,8 @@ def test_every_entry_of_a_tangency_table_matches_naive():
 def test_deep_keys_run_on_the_explicit_stack():
     # each key's deps form a chain through every entry, far deeper than the
     # default recursion limit, which the loop must neither hit nor raise
+    import sys
+
     limit = sys.getrecursionlimit()
     local = SeveriTable()
     assert severi(200, 0, local) == 1
