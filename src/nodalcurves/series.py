@@ -11,14 +11,15 @@ Coefficients are fractions.Fraction values, hence always in lowest terms
 with positive denominator.  Series are immutable after construction and all
 operations are pure: no operation changes an operand.
 
-Products and quotients run on integer kernels: each operand is written once
-as integer numerators over the lcm of its denominators, the convolution or
-division recurrence runs over Python ints, and one Fraction is built per
-output coefficient.  log is the integral of f'/f through the division
-kernel, and revert keeps its running Lagrange power in integers too.  pow
-is the one power routine (** is the same method): an integral exponent is
-binary powering that starts from f, any other is exp(e * log f) (Brent and
-Kung, Fast algorithms for manipulating formal power series, J. ACM 1978).
+Two integer kernels carry the arithmetic.  Each operand is written once as
+integer numerators over the lcm of its denominators; * runs the convolution
+_product_numerators and / the division recurrence _quotient_numerators over
+Python ints, building one Fraction per output coefficient.  log is written
+with / and revert with the convolution, so each product and quotient has one
+code path; exp keeps its own recurrence.  pow is the one power routine (** is
+the same method): an integral exponent is binary powering that starts from
+f, any other is exp(e * log f) (Brent and Kung, Fast algorithms for
+manipulating formal power series, J. ACM 1978).
 
 The variable tag ("q", "x", ...) is documentation only; it is carried along
 but never consulted by the arithmetic.
@@ -62,6 +63,13 @@ def _numerators(coeffs, m: int) -> tuple[list[int], int]:
     head = coeffs[: m + 1]
     den = lcm(*(c.denominator for c in head))
     return [c.numerator * (den // c.denominator) for c in head], den
+
+
+def _product_numerators(a: list[int], b: list[int]) -> list[int]:
+    """[t^n](a*b) for n < len(a), for integer a and b of equal length."""
+    m = len(a) - 1
+    b = b[::-1]  # b[m - j] is now b_j, so [t^n] pairs a with b[m-n:]
+    return [sum(map(mul, a, b[m - n :])) for n in range(m + 1)]
 
 
 def _quotient_numerators(f: list[int], g: list[int]) -> list[int]:
@@ -208,13 +216,8 @@ class PowerSeries(Record):
             a, da = _numerators(self.coeffs, m)
             b, db = _numerators(other.coeffs, m)
             den = da * db
-            b.reverse()  # b[m - j] is now b_j, so [t^n] pairs a with b[m-n:]
             return PowerSeries(
-                tuple(
-                    Fraction(sum(map(mul, a, b[m - n :])), den)
-                    for n in range(m + 1)
-                ),
-                self.var,
+                tuple(Fraction(x, den) for x in _product_numerators(a, b)), self.var
             )
         s = _fraction(other)
         return PowerSeries(tuple(c * s for c in self.coeffs), self.var)
@@ -274,26 +277,16 @@ class PowerSeries(Record):
     def log(self) -> PowerSeries:
         """log(f) for f with constant term one, as the integral of f'/f.
 
-        f and f' share f's denominator, so the division kernel runs on f's
-        integer numerators F: coefficient n of log f is
-        num[n-1] / (n * F0^n) with num the kernel's numerators of F'/F.
+        Coefficient n of log f is [t^n](t*f'/f) / n, and t*f'/f is
+        f.diff_d() / f, so log runs on the division kernel through /.
         """
         f = self.coeffs
         if f[0] != 1:
             raise NormalizationError(
                 f"normalization error: log needs constant term 1, got {f[0]}"
             )
-        m = self.order
-        if m == 0:
-            return PowerSeries.zero(0, self.var)
-        nums, d = _numerators(f, m)  # F0 = nums[0] = d since f[0] = 1
-        derivative = [n * nums[n] for n in range(1, m + 1)]
-        num = _quotient_numerators(derivative, nums[:m])
-        out, den = [Fraction(0)], 1
-        for n, x in enumerate(num, 1):
-            den *= d
-            out.append(Fraction(x, n * den))
-        return PowerSeries(tuple(out), self.var)
+        q = (self.diff_d() / self).coeffs  # q[0] = 0
+        return PowerSeries((q[0],) + tuple(c / n for n, c in enumerate(q[1:], 1)), self.var)
 
     def pow(self, e) -> PowerSeries:
         """f**e for rational e; the one power routine, also bound as **.
@@ -343,11 +336,11 @@ class PowerSeries(Record):
     def revert(self) -> PowerSeries:
         """Compositional inverse of a series with valuation exactly one.
 
-        Lagrange inversion: [t^n] h = [t^(n-1)] (t/g)^n / n.  With g/t =
-        G/dg over integer numerators G, the division kernel writes t/g as
-        p/G0^m over integers p, where m is the order.  The running power
-        (t/g)^n is kept as integer numerators over G0^(m*n), so one
-        Fraction is built per output coefficient.
+        Lagrange inversion: [t^n] h = [t^(n-1)] (t/g)^n / n.  t/g is
+        1 / (g/t), taken with /, and written once as integer numerators p
+        over d.  The running power (t/g)^n is kept as integer numerators
+        over d^n and raised with the convolution * runs on, so one Fraction
+        is built per output coefficient.
         """
         g = self.coeffs
         if g[0] != 0:
@@ -355,18 +348,12 @@ class PowerSeries(Record):
         m = self.order
         if m < 1 or g[1] == 0:
             raise ValuationError("reversion needs a nonzero linear coefficient")
-        shifted, dg = _numerators(g[1:], m - 1)  # G, the numerators of g/t
-        g0 = shifted[0]
-        # num[k] = G0^(k+1) * [t^k](1/G)
-        num = _quotient_numerators([1] + [0] * (m - 1), shifted)
-        p = [dg * x * g0 ** (m - 1 - k) for k, x in enumerate(num)]
-        reversed_p = p[::-1]  # reversed_p[m-1-j] is p_j, as in __mul__
-        d = g0**m
+        p, d = _numerators((1 / PowerSeries(g[1:], self.var)).coeffs, m - 1)
         power, den, h = p, d, [Fraction(0)]
         for n in range(1, m + 1):
             h.append(Fraction(power[n - 1], n * den))
             if n < m:
-                power = [sum(map(mul, power, reversed_p[m - 1 - k :])) for k in range(m)]
+                power = _product_numerators(power, p)
                 den *= d
         return PowerSeries(tuple(h), _VAR_SWAP.get(self.var, self.var))
 

@@ -557,13 +557,16 @@ def severi(d: int, delta: int, table: SeveriTable) -> int:
 
 
 def check_threshold(d: int, order: int):
-    """Enforce the ampleness bound d >= r for every r <= order; it has no override.
+    """Enforce the plane-degree rule d >= max(1, r) for every r <= order; no override.
 
-    O(d) on the plane is d-very ample, and T_r counts the r-nodal curves of an
-    r-very ample line bundle (Kool-Shende-Thomas, A short proof of the
-    Gottsche conjecture, Geom. Topol. 2011), so N(d, r) = T_r(plane(d)) once
-    d >= r.  Below the bound the two may differ, so a plane degree is checked
-    where it enters a fit or a held-out comparison."""
+    O(d) is ample only for d >= 1.  On the plane it is d-very ample, and T_r
+    counts the r-nodal curves of an r-very ample line bundle (Kool-Shende-
+    Thomas, A short proof of the Gottsche conjecture, Geom. Topol. 2011), so
+    N(d, r) = T_r(plane(d)) once d >= r.  Below the bound the two may differ,
+    so a plane degree is checked where it enters a fit or a held-out
+    comparison, before any Severi work."""
+    if d < 1:
+        raise AmplenessThresholdError(f"plane degree {d} must be at least 1")
     if d < order:
         raise AmplenessThresholdError(
             f"degree {d} is below the ampleness bound d >= r for r = {d + 1}"

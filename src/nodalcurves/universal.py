@@ -51,7 +51,7 @@ class FitConfig(Record):
     """Inputs of the multiplicative fit.
 
     Two plane degrees and two primitive K3 squares; the degrees must honor
-    the ampleness bound d >= r for every fitted order r, which has no override.
+    the bound d >= max(1, r) for every fitted order r (see check_threshold).
     """
 
     __slots__ = _fields = ("order", "d1", "d2", "s1", "s2")
@@ -60,8 +60,8 @@ class FitConfig(Record):
         self._set(order, d1, d2, s1, s2)
         if self.order < 0:
             raise FitConfigError("order must be nonnegative")
-        if self.d1 < 1 or self.d2 < 1 or self.d1 == self.d2:
-            raise FitConfigError("plane degrees must be positive and distinct")
+        if self.d1 == self.d2:
+            raise FitConfigError("plane degrees must be distinct")
         for s in (self.s1, self.s2):
             if s <= 0 or s % 2 != 0:
                 raise FitConfigError("K3 squares must be positive and even")

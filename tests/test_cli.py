@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, determinism, cache, flags."""
 
+import ast
 import hashlib
 import json
 import os
@@ -377,6 +378,20 @@ def test_cache_key_with_two_values_exits_3(tmp_path):
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
+def test_no_assert_statement_in_the_package():
+    # the checks that exit 3 raise AssertionError explicitly, so python -O keeps them;
+    # an assert statement would be stripped there and let a wrong number exit 0
+    package = os.path.join(ROOT, "src", "nodalcurves")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 def test_unusable_cache_path_exits_2(tmp_path, where):
     cache = tmp_path / "missing" / "table.jsonl" if where == "missing-directory" else tmp_path
@@ -440,8 +455,11 @@ def test_severi_negative_delta_exits_2_naming_the_flag():
          "negative powers of DG2"),
         (("genus-series", "--r", "0", "--Ksq", "1", "--m", "0", "--chiO", "0", "--order", "0"),
          "order must be >= 1"),
+        (("validate", "--d", "0", "--order", "0"), "plane degree 0 must be at least 1"),
+        (("validate", "--d", "-3", "--order", "0"), "plane degree -3 must be at least 1"),
     ],
-    ids=["validate-below-threshold", "genus-series-negative-r", "genus-series-order-0"],
+    ids=["validate-below-threshold", "genus-series-negative-r", "genus-series-order-0",
+         "validate-degree-0", "validate-negative-degree"],
 )
 def test_bad_input_is_refused_before_any_severi_work(argv, message):
     args = cli.build_parser().parse_args(argv)

@@ -67,3 +67,12 @@ def test_readme_node_poly_check_fits():
     fits, coefficients = run_block(readme_blocks("python")[1])["report.fits, report.coefficients"]
     assert fits is True
     assert len(coefficients) == 7  # N(d, 3) has degree 2 * 3 in d
+
+
+def test_readme_names_every_benchmark_record():
+    root = os.path.dirname(README)
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    records = sorted(n for n in os.listdir(root) if re.fullmatch(r"BENCH_.*\.json", n))
+    assert records
+    assert [n for n in records if f"`{n}`" not in text] == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from nodalcurves import (
     FormCatalog,
@@ -307,6 +307,9 @@ def test_div_kernel_matches_reference(f, g0, g_tail, var):
 
 
 @given(coeff_lists_st, var_st)
+@example(  # order 40, denominators up to 30 with lcm 776,363,187,600
+    [F((-1) ** k * (k % 7 + 1), (k * 11) % 29 + 2) for k in range(41)], "x"
+)
 def test_log_kernel_matches_reference(tail, var):
     f = [F(1)] + tail[1:]
     log = PowerSeries.of(f, var).log()
@@ -436,8 +439,11 @@ def reference_revert(g):
     [
         [0, F(-3, 2), F(5, 7), 0, F(-2, 3), 1, F(1, 11), 0, 0, F(7, 4), -3, F(2, 9)],
         [0, F(2, 5), 0, F(-1, 6), F(9, 2), 0, -1, F(3, 8), 0, 0, F(1, 13), 4, F(-5, 3), 1],
+        [0, F(-7, 9), F(4, 5), 0, F(-11, 6), F(1, 14), 2, 0, F(-3, 10), F(5, 12), 0, F(8, 3),
+         F(-1, 21), 0, F(13, 4), -2, F(2, 15), 0, F(-9, 8), F(1, 18), 0, F(6, 11), F(-4, 25),
+         F(3, 28), F(-17, 30)],
     ],
-    ids=["order-11", "order-13"],
+    ids=["order-11", "order-13", "order-24"],
 )
 def test_revert_with_a_rational_linear_coefficient_matches_the_fraction_loop(g):
     g = [F(c) for c in g]

@@ -68,6 +68,8 @@ def test_config_rejects_bad_k3_squares():
 def test_config_enforces_threshold():
     with pytest.raises(AmplenessThresholdError):
         FitConfig(order=3, d1=2, d2=4)
+    with pytest.raises(AmplenessThresholdError):
+        FitConfig(order=0, d1=0, d2=1)
     FitConfig(order=3, d1=3, d2=4)
 
 
