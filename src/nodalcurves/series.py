@@ -15,10 +15,10 @@ Two integer kernels carry the arithmetic.  Each operand is written once as
 integer numerators over the lcm of its denominators; * runs the convolution
 _product_numerators and / the division recurrence _quotient_numerators over
 Python ints, building one Fraction per output coefficient.  log is written
-with / and revert with the convolution, so each product and quotient has one
-code path; exp keeps its own recurrence.  pow is the one power routine (** is
-the same method): an integral exponent is binary powering that starts from
-f, any other is exp(e * log f) (Brent and Kung, Fast algorithms for
+with /, revert with / and the convolution, so each product and quotient has
+one code path; exp keeps its own recurrence.  pow is the one power routine
+(** is the same method): an integral exponent is binary powering that starts
+from f, any other is exp(e * log f) (Brent and Kung, Fast algorithms for
 manipulating formal power series, J. ACM 1978).
 
 The variable tag ("q", "x", ...) is documentation only; it is carried along
