@@ -17,8 +17,14 @@ evaluate, genus-series, validate) take --cache, the one way to name the
 append-only cache file; each loads it once before it runs and saves it once
 after it succeeds, genus-series included when it needs no fit.  Evaluation
 runs on one thread; fit and severi-table accept --threads and ignore it.
+fit, evaluate and validate take the fit's inputs as --degrees and --k3.
+genus-series takes neither: its series depends on the fit only through B1
+and B2, which are the same for every fit that meets d >= r, so it fits at
+degrees (order, order + 1), the lowest that bound accepts, with K3 squares
+2 and 4.
 Exit codes: 0 success, 2 validation error (including an unusable --cache
-path), 3 mathematical inconsistency detected.
+path), 3 mathematical inconsistency detected (a nonzero fit residual from
+fit or a fit-backed genus-series, which still print, or a held-out mismatch).
 """
 
 from __future__ import annotations
@@ -123,10 +129,7 @@ def cmd_severi(args, table: SeveriTable) -> tuple[str, int]:
     if args.beta:
         beta = TangencyProfile.parse(args.beta)
     else:
-        remaining = args.d - alpha.weight
-        if remaining < 0:
-            raise ValueError("alpha already exceeds the degree")
-        beta = TangencyProfile.simple(remaining)
+        beta = TangencyProfile.simple(max(args.d - alpha.weight, 0))
     key = SeveriKey(args.d, args.delta, alpha, beta)
     value = severi_relative(key, table)
     config = {"d": args.d, "delta": args.delta, "alpha": alpha.tokens(), "beta": beta.tokens()}
@@ -222,7 +225,10 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
     check_genus_series(args.r, args.order)
     gyz = None
     if args.Ksq or args.m:
-        gyz = fit_B(_build_fit(args, table), args.order)
+        # B1 and B2 are the same for every fit that meets d >= r, so the
+        # printed series does not depend on the fit's inputs: fit at the
+        # lowest degrees check_threshold accepts
+        gyz = fit_B(fit_A(FitConfig(order=args.order, d1=args.order, d2=args.order + 1), table))
     series = genus_series(args.r, args.Ksq, args.m, args.chiO, args.order, gyz)
     config = {
         "r": args.r,
@@ -231,9 +237,10 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
         "chiO": args.chiO,
         "order": args.order,
     }
+    status = EXIT_INCONSISTENT if gyz is not None and not gyz.residuals.ok else EXIT_OK
     if args.output == "pretty":
-        return f"{series.pretty()}\n", EXIT_OK
-    return _emit(args, "genus-series", config, {"series": series.to_json_dict()}), EXIT_OK
+        return f"{series.pretty()}\n", status
+    return _emit(args, "genus-series", config, {"series": series.to_json_dict()}), status
 
 
 def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
@@ -272,7 +279,7 @@ def _add_table_flags(parser: argparse.ArgumentParser, threads=False):
 
 
 def _add_fit_params(parser: argparse.ArgumentParser, threads=False):
-    """The fit's inputs; every subcommand that fits also opens a Severi table."""
+    """The fit's inputs of fit, evaluate and validate, which also open a Severi table."""
     _add_table_flags(parser, threads)
     parser.add_argument("--degrees", default=None, help="two plane degrees, e.g. 9,10")
     parser.add_argument("--k3", default="2,4", help="two even K3 squares (default 2,4)")
@@ -346,7 +353,7 @@ def _add_genus_series(sub):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--chiO", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    _add_fit_params(p)
+    _add_table_flags(p)
     _add_common(p, ("json", "pretty"))
     p.set_defaults(handler=cmd_genus_series)
 

@@ -35,21 +35,6 @@ from .series import PowerSeries, SeriesError
 FORMS_FORMAT_VERSION = "forms-1"
 
 
-def sigma1(n: int) -> int:
-    """Sum of the divisors of n."""
-    if n < 1:
-        raise ValueError("sigma_1 is defined for positive integers")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d
-            if d != n // d:
-                total += n // d
-        d += 1
-    return total
-
-
 def _divisor_sums(order: int) -> list[int]:
     """[0, sigma_1(1), ..., sigma_1(order)], from one sieve over the divisors."""
     if order < 0:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from nodalcurves import SeveriTable, cli
+from nodalcurves.universal import GYZFit, GYZResiduals
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -457,9 +458,13 @@ def test_severi_negative_delta_exits_2_naming_the_flag():
          "order must be >= 1"),
         (("validate", "--d", "0", "--order", "0"), "plane degree 0 must be at least 1"),
         (("validate", "--d", "-3", "--order", "0"), "plane degree -3 must be at least 1"),
+        (("severi", "--d", "-1", "--delta", "0"), "degree must be positive"),
+        (("severi", "--d", "2", "--delta", "0", "--alpha", "3"),
+         r"profile weight mismatch: I\(alpha\) \+ I\(beta\) = 3 but d = 2"),
     ],
     ids=["validate-below-threshold", "genus-series-negative-r", "genus-series-order-0",
-         "validate-degree-0", "validate-negative-degree"],
+         "validate-degree-0", "validate-negative-degree", "severi-negative-degree",
+         "severi-alpha-above-degree"],
 )
 def test_bad_input_is_refused_before_any_severi_work(argv, message):
     args = cli.build_parser().parse_args(argv)
@@ -516,6 +521,57 @@ def test_genus_series_without_a_fit_saves_a_header_only_cache(tmp_path):
     assert cache.read_text() == '{"format": "severi-cache-1"}\n'
 
 
+def test_genus_series_with_a_nonzero_fit_residual_exits_3_and_still_prints(monkeypatch, capsys):
+    real_fit_B = cli.fit_B
+
+    def inconsistent_fit_B(fit, q_order=None):
+        gyz = real_fit_B(fit, q_order)
+        broken = GYZResiduals(gyz.residuals.dg2_identity + 1, gyz.residuals.delta_identity)
+        return GYZFit(gyz.q_order, gyz.b1, gyz.b2, gyz.b3, gyz.b4, broken)
+
+    monkeypatch.setattr(cli, "fit_B", inconsistent_fit_B)
+    argv = ["genus-series", "--r", "1", "--Ksq", "9", "--m", "-3", "--chiO", "1",
+            "--order", "2", "--no-timestamp"]
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["command"] == "genus-series"
+
+
+# sha256 of the five --no-timestamp stdouts per order, joined in GENUS_GRID
+# order, as printed when genus-series still fitted at the default degrees
+GENUS_GRID = [(0, 1, 0, 0), (1, 9, -3, 1), (3, 4, 2, -2), (0, 0, 1, 2), (2, -1, -1, 3)]
+GENUS_GRID_SHA256 = {
+    1: "2530addc5f08d5c86a4c4b8d982dc1e11a3956790ad26340c5fb73031ca87181",
+    2: "fe9fcd516b54dc1bee1ec974b68a240062e6b5a2942d6989aee1cb8510c9cbf9",
+    3: "e7efe9da7539924b07a8df2738bb868d367ec134a1b9c874cc636fc4266c5f7f",
+    4: "c216747e15ca79fb3d9e6d32b2fbad22058539453fd2e285ac18c85549fb0c6b",
+    5: "51f51f16e02eb6bd7ad1076e3661fc74ab681af933a6dbde09318cc2aedd2454",
+    6: "e908dabb9e799c80c455032bbac6bc6b7faf551ab77ae4e89c7d9b33698a36a4",
+    7: "d88e36bd8dd16f6dffe457316f5a5fd74e2972db51e9551ce312783411d360e1",
+    8: "31204783da65f8aa0dcf3643a95c3f7a01c39c78d665328689a2af613fd47280",
+}
+
+
+@pytest.mark.parametrize("order", list(GENUS_GRID_SHA256))
+def test_genus_series_prints_what_the_default_degree_fit_printed(order, capsys):
+    outputs = []
+    for r, Ksq, m, chiO in GENUS_GRID:
+        argv = ["genus-series", "--r", str(r), "--Ksq", str(Ksq), "--m", str(m),
+                "--chiO", str(chiO), "--order", str(order), "--no-timestamp"]
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GENUS_GRID_SHA256[order]
+
+
+def test_genus_series_fits_at_the_lowest_proven_degrees():
+    # degrees (8, 9); the default degrees (39, 40) made 473,555 entries
+    args = cli.build_parser().parse_args(
+        ["genus-series", "--r", "0", "--Ksq", "4", "--m", "2", "--chiO", "0", "--order", "8"]
+    )
+    table = SeveriTable()
+    args.handler(args, table)
+    assert len(table) == 2778
+
+
 FIT_ARGS = {
     "fit": ("fit", "--order", "1"),
     "evaluate": ("evaluate", "--L2", "1", "--LK", "-3", "--c1sq", "9", "--c2", "3",
@@ -545,9 +601,12 @@ def test_unsafe_is_no_flag(command):
         (*FIT_ARGS["evaluate"], "--threads", "1"),
         (*FIT_ARGS["genus-series"], "--threads", "1"),
         (*FIT_ARGS["validate"], "--threads", "1"),
+        (*FIT_ARGS["genus-series"], "--degrees", "2,3"),
+        (*FIT_ARGS["genus-series"], "--k3", "2,6"),
     ],
     ids=["fit-output", "close-relation-output", "validate-output", "forms-output",
-         "severi-threads", "evaluate-threads", "genus-series-threads", "validate-threads"],
+         "severi-threads", "evaluate-threads", "genus-series-threads", "validate-threads",
+         "genus-series-degrees", "genus-series-k3"],
 )
 def test_option_that_cannot_change_the_result_is_no_flag(args):
     proc = run_cli(*args, "--no-timestamp")

@@ -15,7 +15,6 @@ from nodalcurves import (
     discriminant_delta,
     eisenstein_g2,
     k3_generating,
-    sigma1,
 )
 
 F = Fraction
@@ -23,11 +22,6 @@ F = Fraction
 
 def divisor_sum(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def test_sigma1_against_direct_enumeration():
-    for n in range(1, 60):
-        assert sigma1(n) == divisor_sum(n)
 
 
 def test_g2_fixture():
