@@ -44,7 +44,7 @@ def test_every_benchmark_workload_runs_the_cli():
 
 
 TABLE = ["--no-timestamp", "--cache"]  # every subcommand that opens a Severi table
-FIT = TABLE + ["--order", "--degrees", "--k3"]  # every subcommand that fits
+FIT = TABLE + ["--order", "--degrees", "--k3"]  # fit, evaluate and validate
 
 OPTIONS = {
     "severi": ["--d", "--delta", "--alpha", "--beta", "--output"] + TABLE,
