@@ -106,8 +106,12 @@ class FormCatalog(Record):
         self, order: int, g2: PowerSeries, dg2: PowerSeries, d2g2: PowerSeries, delta: PowerSeries
     ):
         self._set(order, g2, dg2, d2g2, delta)
-        if self.g2.diff_d() != self.dg2 or self.dg2.diff_d() != self.d2g2:
-            raise SeriesError("derivative chain G2 -> DG2 -> D2G2 is inconsistent")
+        # D multiplies coefficient n by n; each pair is compared through their
+        # common order, cross-multiplied in integers
+        for f, df in ((self.g2, self.dg2), (self.dg2, self.d2g2)):
+            for n, (c, dc) in enumerate(zip(f.coeffs, df.coeffs)):
+                if n * c.numerator * dc.denominator != dc.numerator * c.denominator:
+                    raise SeriesError("derivative chain G2 -> DG2 -> D2G2 is inconsistent")
         if self.delta.coeff(0) != 0 or self.delta.coeff(1) != 1:
             raise SeriesError("Delta must have valuation exactly one with leading coefficient one")
 

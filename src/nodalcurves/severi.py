@@ -62,6 +62,7 @@ from .series import PowerSeries
 
 CACHE_FORMAT_VERSION = "severi-cache-1"
 _CACHE_HEADER = f'{{"format": "{CACHE_FORMAT_VERSION}"}}'  # a cache file's first line
+_HEADER_LINE = f"{_CACHE_HEADER}\n".encode("ascii")
 
 
 class ProfileWeightMismatchError(ValueError):
@@ -287,11 +288,15 @@ def _canonical(flat: int) -> str:
 
 
 # a cache line exactly as save writes it: d, delta, alpha text, beta text, value;
-# numbers without sign or leading zeros, since a Severi degree is a count
+# numbers without sign or leading zeros, since a Severi degree is a count.
+# Anchored at line ends (re.M) and kept off newlines, so one findall over a
+# block of lines matches each line whole or not at all.
 _CACHE_LINE = re.compile(
-    r'\{"key": "([1-9][0-9]*):(0|[1-9][0-9]*):([^"|\\]*)\|([^"|\\]*)", '
-    r'"value": "(0|[1-9][0-9]*)"\}'
+    r'^\{"key": "([1-9][0-9]*):(0|[1-9][0-9]*):([^"|\\\n]*)\|([^"|\\\n]*)", '
+    r'"value": "(0|[1-9][0-9]*)"\}$',
+    re.M,
 )
+_CHUNK = 1 << 15  # bytes a cache read takes at a time
 _text_ids: dict[str, int] = {}  # canonical profile text -> id, filled by cache loads
 
 
@@ -306,9 +311,9 @@ def _profile_id(text: str) -> int:
     return pid
 
 
-def _check_header(path, line: str):
-    """Raise ValueError naming the file unless line is the header save writes, to the byte."""
-    if line != _CACHE_HEADER:
+def _check_header(path, line: bytes):
+    """Raise ValueError naming the file unless line is the header line save writes, to the byte."""
+    if line != _HEADER_LINE:
         raise ValueError(f"cache file {path} does not start with the header {_CACHE_HEADER}")
 
 
@@ -325,6 +330,60 @@ def _complete_length(fh) -> int:
     return 0
 
 
+def _blocks(fh):
+    """The complete lines of a binary file from its position on, in blocks of
+    about _CHUNK bytes that each end at a newline; a last line without its
+    newline is a torn append and is not given."""
+    rest = b""
+    while chunk := fh.read(_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+
+
+def _read_lines(path, blocks, entries: dict) -> int:
+    """Add the entries of blocks of cache lines to entries; the bytes read.
+
+    Each block is matched by one findall, and line by line only when a line
+    in it fails, so the first bad line in file order is the one named."""
+    read = 0
+    for block in blocks:
+        read += len(block)
+        # a byte outside ASCII reads as its \x escape, which no line as save
+        # writes it holds, so it fails as a malformed line
+        text = block.decode("ascii", "backslashreplace")
+        rows = _CACHE_LINE.findall(text)
+        bad = None
+        if len(rows) != text.count("\n"):
+            rows = []
+            for line in text[:-1].split("\n"):
+                found = _CACHE_LINE.fullmatch(line)
+                if found is None:
+                    bad = line
+                    break
+                rows.append(found.groups())
+        for row in rows:
+            d, delta, alpha, beta, value = row
+            try:
+                alpha, beta = _profile_id(alpha), _profile_id(beta)
+                if int(d) != _weight[alpha] + _weight[beta]:
+                    raise ProfileWeightMismatchError("I(alpha) + I(beta) is not d")
+            except ValueError as exc:
+                line = '{"key": "%s:%s:%s|%s", "value": "%s"}' % row
+                raise ValueError(f"cache file {path} has a malformed line {line!r}") from exc
+            # stored straight from the packed key, without a SeveriKey
+            flat = int(delta) << _DELTA_SHIFT | alpha << _ID_BITS | beta
+            value = int(value)
+            if entries.setdefault(flat, value) != value:
+                raise AssertionError(f"cache file {path} holds two values for {_canonical(flat)}")
+        if bad is not None:
+            raise ValueError(f"cache file {path} has a malformed line {bad!r}")
+    return read
+
+
 class SeveriTable:
     """Write-once memo table, owned by one thread.
 
@@ -338,6 +397,8 @@ class SeveriTable:
         # entries are never removed, so the ones already on disk are the
         # first _saved in insertion order
         self._saved = 0
+        # the cache file's complete length as this table last read or wrote it
+        self._length = 0
         self.hits = 0
         self.misses = 0
 
@@ -353,69 +414,71 @@ class SeveriTable:
     def load(path) -> SeveriTable:
         """Load a cache file; a missing file gives an empty table.
 
-        The header and every line load only in the exact form save writes,
-        canonical key text included; any other complete line, an empty one
-        or another format version in the header among them, raises ValueError
-        naming the file, and one key with two values raises AssertionError.
-        A last line without its newline is a torn append and is ignored."""
+        The file is read in blocks of about _CHUNK bytes.  The header and
+        every line load only in the exact form save writes, canonical key
+        text included; any other complete line, an empty one, one ending in
+        a carriage return or another format version in the header among
+        them, raises ValueError naming the file, and one key with two values
+        raises AssertionError.  A last line without its newline is a torn
+        append and is ignored."""
         table = SeveriTable()
         try:
-            # a byte outside ASCII reads as its \x escape, which no line
-            # as save writes it holds, so it fails as a malformed line
-            with open(path, "r", encoding="ascii", errors="backslashreplace") as fh:
-                lines = fh.read().split("\n")
+            fh = open(path, "rb")
         except FileNotFoundError:
             return table
-        lines.pop()
-        if not lines:
-            return table
-        _check_header(path, lines[0])
-        # entries are stored straight from the packed key, without a SeveriKey
-        entries = table._entries
-        match = _CACHE_LINE.fullmatch
-        for line in lines[1:]:
-            found = match(line)
-            try:
-                if found is None:
-                    raise ValueError("not a line as save writes it")
-                d, delta, alpha, beta, value = found.groups()
-                alpha, beta = _profile_id(alpha), _profile_id(beta)
-                if int(d) != _weight[alpha] + _weight[beta]:
-                    raise ProfileWeightMismatchError("I(alpha) + I(beta) is not d")
-                flat = int(delta) << _DELTA_SHIFT | alpha << _ID_BITS | beta
-                value = int(value)
-            except ValueError as exc:
-                raise ValueError(f"cache file {path} has a malformed line {line!r}") from exc
-            if entries.setdefault(flat, value) != value:
-                raise AssertionError(f"cache file {path} holds two values for {_canonical(flat)}")
-        table._saved = len(entries)
+        with fh:
+            blocks = _blocks(fh)
+            first = next(blocks, b"")
+            if first:
+                end = first.index(b"\n") + 1
+                _check_header(path, first[:end])
+                rest = itertools.chain((first[end:],), blocks)
+                table._length = end + _read_lines(path, rest, table._entries)
+        table._saved = len(table._entries)
         return table
 
     def save(self, path):
-        """Append entries not yet on disk; writes the header on a fresh file.
+        """Append the entries the file lacks; writes the header on a fresh file.
 
         Saves to one path take turns: each holds an exclusive POSIX flock on
         the file from reading its header to its last append.  A torn last
         line is cut off first; a file whose header is torn is started
-        afresh; any other header raises ValueError naming the file."""
+        afresh; any other header raises ValueError naming the file.  If the
+        file changed since this table last read or wrote it, the lines other
+        runs appended (all lines, if it shrank) are read first: their keys
+        are skipped, and one holding another value than this table raises
+        AssertionError before anything is written."""
+        entries = self._entries
         with open(path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after the flush
             fh.seek(0)
             first = fh.readline()
             complete = _complete_length(fh)
             if complete:
-                _check_header(path, first[:-1].decode("ascii", "replace"))
+                _check_header(path, first)
             fh.truncate(complete)
+            # a file that shrank may have lost lines this table saved
+            new = itertools.islice(entries, self._saved if complete >= self._length else 0, None)
             if not complete:
-                fh.write(f"{_CACHE_HEADER}\n".encode("ascii"))
-            entries = self._entries
-            new = itertools.islice(entries, self._saved, None)
+                fh.write(_HEADER_LINE)
+            elif complete != self._length:
+                fh.seek(self._length if 0 < self._length < complete else len(first))
+                there: dict[int, int] = {}
+                _read_lines(path, _blocks(fh), there)
+                for key, value in there.items():
+                    if entries.get(key, value) != value:
+                        raise AssertionError(
+                            f"cache file {path} holds {value} for {_canonical(key)}, "
+                            f"not {entries[key]}"
+                        )
+                new = [key for key in new if key not in there]
             # key text is digits and ":|^ -", which JSON writes as is
             fh.writelines(
-                f'{{"key": "{text}", "value": "{entries[key]}"}}\n'.encode("ascii")
-                for text, key in sorted((_canonical(key), key) for key in new)
+                f'{{"key": "{_canonical(key)}", "value": "{entries[key]}"}}\n'.encode("ascii")
+                for key in sorted(new, key=_canonical)
             )
-        self._saved = len(self._entries)
+            self._length = fh.seek(0, os.SEEK_END)
+        self._saved = len(entries)
 
 
 # ----------------------------------------------------------------------

@@ -379,6 +379,43 @@ def test_cache_key_with_two_values_exits_3(tmp_path):
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
+def test_cache_with_crlf_line_ends_exits_2_before_any_severi_work(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "table.jsonl"
+    args = ["severi", "--d", "5", "--delta", "2", "--cache", str(cache), "--no-timestamp"]
+    assert run_cli(*args).returncode == 0
+    crlf = cache.read_bytes().replace(b"\n", b"\r\n")
+    cache.write_bytes(crlf)
+
+    def no_severi_work(*_):
+        raise AssertionError("Severi work before the cache was refused")
+
+    monkeypatch.setattr(cli, "severi_relative", no_severi_work)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(cache) in json.loads(err)["error"]["message"]
+    assert cache.read_bytes() == crlf
+
+
+def test_cache_key_another_run_saved_with_another_value_exits_3(tmp_path, monkeypatch, capsys):
+    # another run saves a wrong value for a key of this run between its load and its save
+    cache = tmp_path / "table.jsonl"
+    other = '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "value": "2"}\n'
+    load = SeveriTable.load
+
+    def load_then_other_run_saves(path):
+        table = load(path)
+        cache.write_text(other)
+        return table
+
+    monkeypatch.setattr(SeveriTable, "load", staticmethod(load_then_other_run_saves))
+    assert cli.main(["severi", "--d", "3", "--delta", "1", "--cache", str(cache)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(cache) in json.loads(err)["error"]["message"]
+    assert cache.read_text() == other
+
+
 def test_no_assert_statement_in_the_package():
     # the checks that exit 3 raise AssertionError explicitly, so python -O keeps them;
     # an assert statement would be stripped there and let a wrong number exit 0

@@ -194,3 +194,17 @@ def test_form_catalog_rejects_inconsistent_chain():
             d2g2=catalog.d2g2,
             delta=catalog.delta,
         )
+
+
+@pytest.mark.parametrize("slot", ["dg2", "d2g2"])
+@pytest.mark.parametrize("n", [1, 60, 120])
+def test_form_catalog_rejects_one_tampered_coefficient(slot, n):
+    # one coefficient off by 1/7 anywhere in DG2 or D2G2 breaks the chain
+    catalog = FormCatalog.build(120)
+    fields = {name: getattr(catalog, name) for name in FormCatalog._fields}
+    coeffs = list(fields[slot].coeffs)
+    coeffs[n] += F(1, 7)
+    fields[slot] = PowerSeries.of(coeffs, "q")
+    with pytest.raises(SeriesError):
+        FormCatalog(**fields)
+    assert FormCatalog(**{name: getattr(catalog, name) for name in FormCatalog._fields}) == catalog

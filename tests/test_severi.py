@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,108 @@ def test_cache_file_bytes_are_pinned(tmp_path):
         hashlib.sha256(data).hexdigest()
         == "3a78f44ba55d03124958b74e303fcaf6fc37931e94eb937754f563a099ff0fd5"
     )
+
+
+def test_cache_saves_of_two_tables_write_each_key_once(tmp_path):
+    # A and B load the same file, B saves, then A: A appends only what the
+    # file lacks after B's lines, and nothing it already holds
+    path = tmp_path / "cache.jsonl"
+    seed = SeveriTable()
+    severi(4, 2, seed)
+    seed.save(path)
+    first, second = SeveriTable.load(path), SeveriTable.load(path)
+    severi(6, 3, first)
+    severi(5, 3, second)
+    second.save(path)
+    first.save(path)
+    lines = path.read_text().splitlines()
+    keys = [json.loads(line)["key"] for line in lines[1:]]
+    assert len(keys) == len(set(keys)) == len(first._entries.keys() | second._entries.keys())
+    assert SeveriTable.load(path)._entries == {**second._entries, **first._entries}
+    # with no other save in between, a save reads nothing back and appends in key order
+    severi(7, 3, first)
+    size = path.stat().st_size
+    first.save(path)
+    tail = path.read_bytes()[size:].decode().splitlines()
+    assert len(tail) == len(first) - len(set(keys))
+    assert tail == sorted(tail)
+
+
+def test_cache_save_refuses_a_key_another_run_wrote_with_another_value(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first = SeveriTable.load(path)
+    severi(3, 1, first)
+    other = '{"format": "severi-cache-1"}\n{"key": "2:0:-|1^2", "value": "2"}\n'
+    path.write_text(other)  # another run's save, between this run's load and save
+    with pytest.raises(AssertionError) as excinfo:
+        first.save(path)
+    assert str(path) in str(excinfo.value) and "2:0:-|1^2" in str(excinfo.value)
+    assert path.read_text() == other
+
+
+def test_cache_save_onto_a_file_that_shrank_writes_every_entry_it_lacks(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    local = SeveriTable()
+    severi(5, 2, local)
+    local.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index(b"\n") + 1])  # the file is started afresh
+    severi(5, 3, local)
+    local.save(path)
+    assert SeveriTable.load(path)._entries == local._entries
+    assert path.read_bytes().count(b"\n") == len(local) + 1
+
+
+@pytest.fixture(scope="module")
+def cache_26(tmp_path_factory):
+    """The severi-table --dmax 26 --deltamax 5 cache: 31,201 entries, many read blocks long."""
+    local = SeveriTable()
+    for d in range(1, 27):
+        for delta in range(6):
+            severi(d, delta, local)
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    local.save(path)
+    return path, local
+
+
+def test_cache_load_holds_one_block_at_a_time(cache_26):
+    path, local = cache_26
+    size = path.stat().st_size
+    assert len(local) == 31201 and size > 20 * (1 << 16)
+    SeveriTable.load(path)  # every profile text is seen once before tracing
+    tracemalloc.start()
+    try:
+        loaded = SeveriTable.load(path)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded._entries == local._entries
+    assert peak - after < size // 2
+
+
+def test_cache_load_reads_the_same_entries_in_any_block_size(cache_26, monkeypatch):
+    path, _ = cache_26
+    whole = SeveriTable.load(path)
+    monkeypatch.setattr(sys.modules["nodalcurves.severi"], "_CHUNK", 7)  # shorter than any line
+    loaded = SeveriTable.load(path)
+    assert list(loaded._entries.items()) == list(whole._entries.items())
+    assert loaded._length == path.stat().st_size
+
+
+@pytest.mark.parametrize("order", ["mismatch-first", "garbage-first"])
+def test_cache_load_names_the_first_bad_line_deep_in_the_file(cache_26, tmp_path, order):
+    path, _ = cache_26
+    lines = path.read_bytes().split(b"\n")
+    mismatch = b'{"key": "9:0:-|1^8", "value": "1"}'
+    garbage = b"garbage"
+    at = len(lines) * 3 // 4
+    lines[at], lines[at + 5] = (mismatch, garbage) if order == "mismatch-first" else (garbage, mismatch)
+    bad = tmp_path / "cache.jsonl"
+    bad.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as excinfo:
+        SeveriTable.load(bad)
+    named = (mismatch if order == "mismatch-first" else garbage).decode()
+    assert str(excinfo.value) == f"cache file {bad} has a malformed line {named!r}"
 
 
 # ----------------------------------------------------------------------
