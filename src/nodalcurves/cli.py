@@ -70,11 +70,13 @@ EXIT_INCONSISTENT = 3
 
 
 def _precompute(table: SeveriTable, pairs):
-    """Evaluate the top-level Severi keys once each, in sorted order.
+    """Evaluate the top-level Severi keys once each, by degree, each degree's
+    highest delta first, so the table builds each pair once, at the prefix
+    the degree needs.
 
     No output depends on it.  It stays because perfbench pins severi.calls,
     and it makes 14 of fit-deep's 16 calls and 186 of cache-roundtrip's 347."""
-    for d, delta in sorted(set(pairs)):
+    for d, delta in sorted(set(pairs), key=lambda pair: (pair[0], -pair[1])):
         severi(d, delta, table)
 
 

@@ -14,9 +14,10 @@ operations are pure: no operation changes an operand.
 Two integer kernels carry the arithmetic.  Each operand is written once as
 integer numerators over the lcm of its denominators; * runs the convolution
 _product_numerators and / the division recurrence _quotient_numerators over
-Python ints, building one Fraction per output coefficient.  log is written
-with /, revert with / and the convolution, so each product and quotient has
-one code path; exp keeps its own recurrence.  pow is the one power routine
+Python ints, building one Fraction per output coefficient.  log runs the
+division kernel on f's numerators directly, revert runs / and the
+convolution, so each product and quotient has one code path; exp keeps its
+own recurrence.  pow is the one power routine
 (** is the same method): an integral exponent is binary powering that starts
 from f, any other is exp(e * log f) (Brent and Kung, Fast algorithms for
 manipulating formal power series, J. ACM 1978).
@@ -277,16 +278,24 @@ class PowerSeries(Record):
     def log(self) -> PowerSeries:
         """log(f) for f with constant term one, as the integral of f'/f.
 
-        Coefficient n of log f is [t^n](t*f'/f) / n, and t*f'/f is
-        f.diff_d() / f, so log runs on the division kernel through /.
+        Coefficient n of log f is [t^n](t*f'/f) / n.  With f = F/D over
+        integer numerators (so F[0] = D), t*f'/f is (n*F[n])/F, and the
+        division kernel gives num[n] = D^(n+1) * [t^n]((n*F[n])/F), so
+        coefficient n is num[n] / (n * D^(n+1)): one integer pass and one
+        Fraction per coefficient.
         """
         f = self.coeffs
         if f[0] != 1:
             raise NormalizationError(
                 f"normalization error: log needs constant term 1, got {f[0]}"
             )
-        q = (self.diff_d() / self).coeffs  # q[0] = 0
-        return PowerSeries((q[0],) + tuple(c / n for n, c in enumerate(q[1:], 1)), self.var)
+        F, D = _numerators(f, self.order)
+        num = _quotient_numerators([n * c for n, c in enumerate(F)], F)
+        out, den = [Fraction(0)], D
+        for n in range(1, len(num)):
+            den *= D
+            out.append(Fraction(num[n], n * den))
+        return PowerSeries(tuple(out), self.var)
 
     def pow(self, e) -> PowerSeries:
         """f**e for rational e; the one power routine, also bound as **.

@@ -28,22 +28,28 @@ contribute.
 
 Evaluation is memoized in a SeveriTable.  Inside the recursion a tangency
 profile is a small int id, given once per process by a module-level intern
-table, and a memo key is one int packing (delta, alpha id, beta id); the
+table, and the memo is keyed by one int packing (alpha id, beta id); the
 degree is implied, d = I(alpha) + I(beta).  Per-id tables hold each
-profile's weight, canonical text and +-e_m neighbours, so the hot loop
-hashes and stores plain ints.  The sub-profile and new-contact term tables
-are memoized per id, and each one for cap or slack s is the one for s - 1
-plus the terms at exactly s, so every term is built once.  One loop with
-an explicit stack evaluates a key: the promotion terms are built from the
-neighbour tables, looked up and added to a running sum as they are
-produced; only keys with delta >= I(beta) and I(alpha) >= 1 have
-degree-drop terms, which join the same sum; a key with missing deps goes
-back on the stack once, as a frame holding its partial sum and missing
-terms.  SeveriKey, the cache text and the error messages translate at the
-table's boundary.  Values are arbitrary-precision integers and entries are
-write-once.  A table and the intern tables belong to one thread: no thread
-lock is taken, and the one lock, save's flock on the cache file, keeps
-saves of separate runs apart.
+profile's weight, excess, canonical text and +-e_m neighbours, so the hot
+loop hashes and stores plain ints.  The recursion is linear in the cogenus
+prefixes delta = 0..K of a pair, and each term only shifts delta, so the
+memo keeps each pair's prefix as one int of fixed-width slots (Kronecker
+substitution): a term is one bigint multiply, shift and add.  Each pair is
+built once per request, at the longest prefix the request can ask of it,
+k0 - E(alpha) - E(beta) with E the excess sum_m (m - 1) * count and k0 the
+requested delta plus the requested pair's E.  The slot width starts at
+_WIDTH bits and is widened, with every pair repacked, before any slot could
+carry into the next, which slot sums rule out exactly.  The
+sub-profile and new-contact term tables are memoized per id, and each one
+for cap or slack s is the one for s - 1 plus the terms at exactly s, so
+every term is built once.  One loop with an explicit stack builds the
+pairs; a pair with missing deps goes back on the stack once, as a frame
+holding its partial sum and missing terms.  SeveriKey, the cache text and
+the error messages translate at the table's boundary.  Values are
+arbitrary-precision integers and a pair's slots are write-once: a pair
+rebuilt longer must keep them.  A table and the intern tables belong to
+one thread: no thread lock is taken, and the one lock, save's flock on the
+cache file, keeps saves of separate runs apart.
 """
 
 from __future__ import annotations
@@ -80,9 +86,10 @@ class AmplenessThresholdError(ValueError):
 # delegates to the functions below; _plus is the one function that makes a
 # canonical profile.  The recursion never sees the pairs: _intern gives each
 # distinct profile an int id, once per process, and the per-id lists below
-# hold what the recursion reads.  A memo key packs
-# (delta, alpha id, beta id) into one int, so a few hundred profiles serve
-# tens of thousands of keys and every memo probe hashes a plain int.
+# hold what the recursion reads.  A memo key packs (alpha id, beta id) into
+# one int, and a cache line's key adds delta above them, so a few hundred
+# profiles serve tens of thousands of values and every memo probe hashes a
+# plain int.
 
 
 def _plus(pairs, other):
@@ -118,10 +125,12 @@ _CONTACT_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?")  # m, or m^c for c conta
 _ID_BITS = 24
 _ID_MASK = (1 << _ID_BITS) - 1
 _DELTA_SHIFT = 2 * _ID_BITS
+_PAIR_MASK = (1 << _DELTA_SHIFT) - 1
 
 _ids: dict[tuple, int] = {}  # pairs -> id
 _pairs: list[tuple] = []  # id -> pairs
 _weight: list[int] = []  # id -> I(pairs)
+_excess: list[int] = []  # id -> E(pairs) = sum_m (m - 1) * pairs[m]
 _text: list[str] = []  # id -> canonical tokens
 _up: list[dict] = []  # id -> {m: id of pairs + e_m}, filled on demand
 _down: list = []  # id -> ((m, id of pairs - e_m) for each m), None until needed
@@ -137,6 +146,7 @@ def _intern(pairs) -> int:
         _ids[pairs] = pid
         _pairs.append(pairs)
         _weight.append(sum(m * c for m, c in pairs))
+        _excess.append(sum((m - 1) * c for m, c in pairs))
         _text.append(_tokens(pairs))
         _up.append({})
         _down.append(None)
@@ -273,7 +283,8 @@ class SeveriKey(Record):
 
 
 def _flat(key: SeveriKey) -> int:
-    """The packed int (delta, alpha id, beta id) the recursion uses."""
+    """The int (delta, alpha id, beta id) a cache line's key packs into; its
+    low _DELTA_SHIFT bits are the pair id the memo is keyed by."""
     return (
         key.delta << _DELTA_SHIFT
         | _intern(key.alpha.pairs) << _ID_BITS
@@ -344,69 +355,76 @@ def _blocks(fh):
             rest += chunk
 
 
-def _read_lines(path, blocks, entries: dict) -> int:
-    """Add the entries of blocks of cache lines to entries; the bytes read.
+def _row_ids(path, row) -> tuple[int, int]:
+    """The profile ids of a cache line's fields; ValueError naming the file
+    and the line unless both are canonical profile text and d = I(alpha) +
+    I(beta)."""
+    d, _, alpha, beta, _ = row
+    try:
+        a, b = _profile_id(alpha), _profile_id(beta)
+        if int(d) != _weight[a] + _weight[b]:
+            raise ProfileWeightMismatchError("I(alpha) + I(beta) is not d")
+    except ValueError as exc:
+        line = '{"key": "%s:%s:%s|%s", "value": "%s"}' % row
+        raise ValueError(f"cache file {path} has a malformed line {line!r}") from exc
+    return a, b
 
-    Each block is matched by one findall, and line by line only when a line
-    in it fails, so the first bad line in file order is the one named."""
-    read = 0
-    for block in blocks:
-        read += len(block)
-        # a byte outside ASCII reads as its \x escape, which no line as save
-        # writes it holds, so it fails as a malformed line
-        text = block.decode("ascii", "backslashreplace")
-        rows = _CACHE_LINE.findall(text)
-        bad = None
-        if len(rows) != text.count("\n"):
-            rows = []
-            for line in text[:-1].split("\n"):
-                found = _CACHE_LINE.fullmatch(line)
-                if found is None:
-                    bad = line
-                    break
-                rows.append(found.groups())
-        for row in rows:
-            d, delta, alpha, beta, value = row
-            try:
-                alpha, beta = _profile_id(alpha), _profile_id(beta)
-                if int(d) != _weight[alpha] + _weight[beta]:
-                    raise ProfileWeightMismatchError("I(alpha) + I(beta) is not d")
-            except ValueError as exc:
-                line = '{"key": "%s:%s:%s|%s", "value": "%s"}' % row
-                raise ValueError(f"cache file {path} has a malformed line {line!r}") from exc
-            # stored straight from the packed key, without a SeveriKey
-            flat = int(delta) << _DELTA_SHIFT | alpha << _ID_BITS | beta
-            value = int(value)
-            if entries.setdefault(flat, value) != value:
-                raise AssertionError(f"cache file {path} holds two values for {_canonical(flat)}")
-        if bad is not None:
-            raise ValueError(f"cache file {path} has a malformed line {bad!r}")
-    return read
+
+_WIDTH = 64  # bits per slot of a new table; a multiple of 8
+
+
+def _width_for(total: int) -> int:
+    """The fewest bits, a multiple of 32, whose slot modulus 2^B - 1 exceeds total."""
+    return -(-(total + 1).bit_length() // 32) * 32
 
 
 class SeveriTable:
     """Write-once memo table, owned by one thread.
 
-    Entries are keyed by packed ints (see _flat); the public methods take
-    SeveriKey.  hits and misses count top-level queries: a hit is a query
-    answered from the table, a miss one that triggered computation.
+    The memo maps a pair id (alpha id << _ID_BITS | beta id) to one int that
+    packs N(d, delta; alpha, beta) for delta = 0..K into B-bit slots, slot
+    delta at bit B * delta, with a sentinel bit at B * (K + 1); a pair with
+    no slots would pack as 1.  Every pair's slot sum stays below 2^B - 1, so
+    no slot carries into the next and a masked prefix v has slot sum
+    v % (2^B - 1).  The public methods take SeveriKey.  hits and misses
+    count top-level queries: a hit is a query answered from the table, a
+    miss one that triggered computation.  len() counts slots, one per
+    (d, delta, alpha, beta) value, as the cache counts lines.
     """
 
     def __init__(self):
-        self._entries: dict[int, int] = {}
-        # entries are never removed, so the ones already on disk are the
-        # first _saved in insertion order
+        self._packed: dict[int, int] = {}
+        self._width = _WIDTH
+        self._slots = 0
+        # pairs are never removed, so the ones already on disk are the first
+        # _saved in insertion order; a pair of those rebuilt longer since
+        # maps to the last slot the file holds in _grown
         self._saved = 0
+        self._grown: dict[int, int] = {}
+        # lines the file holds past a gap in their pair's prefix: key -> value
+        self._held: dict[int, int] = {}
         # the cache file's complete length as this table last read or wrote it
         self._length = 0
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._slots
 
     def stats(self) -> dict:
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
+        return {"entries": self._slots, "hits": self.hits, "misses": self.misses}
+
+    def _widen(self, width: int):
+        """Repack every pair into slots of width bits."""
+        step = self._width // 8  # bytes per slot now
+        pad = bytes(width // 8 - step)
+        packed = self._packed
+        for pair, value in packed.items():
+            size = -(-value.bit_length() // (8 * step)) * step  # the sentinel's slot included
+            data = value.to_bytes(size, "little")
+            spread = b"".join(data[i : i + step] + pad for i in range(0, size, step))
+            packed[pair] = int.from_bytes(spread, "little")
+        self._width = width
 
     # -- optional append-only disk cache --------------------------------
 
@@ -433,12 +451,114 @@ class SeveriTable:
                 end = first.index(b"\n") + 1
                 _check_header(path, first[:end])
                 rest = itertools.chain((first[end:],), blocks)
-                table._length = end + _read_lines(path, rest, table._entries)
-        table._saved = len(table._entries)
+                table._length = end + table._read(path, rest)
+        table._saved = len(table._packed)
         return table
 
+    def _read(self, path, blocks) -> int:
+        """Pack the cache lines of blocks into this empty table; the bytes read.
+
+        Each block is matched by one findall, and line by line only when a
+        line in it fails, so the first bad line in file order is the one
+        named.  A line that extends its pair's prefix by one slot is packed
+        as it is read; any other (a delta of 10 or more, whose key text sorts
+        before 2, a repeat or a gap) is set aside and merged in delta order
+        at the end.  A pair keeps the longest prefix its lines give, and the
+        lines past a gap are held, so a save never writes their keys again."""
+        packed = self._packed
+        get = packed.get
+        text_ids, weight = _text_ids, _weight
+        width = self._width
+        limit = (1 << width) - 1
+        read = top = slots = 0  # bytes read, the largest value, the slots packed
+        aside = []
+        for block in blocks:
+            read += len(block)
+            # a byte outside ASCII reads as its \x escape, which no line as save
+            # writes it holds, so it fails as a malformed line
+            text = block.decode("ascii", "backslashreplace")
+            rows = _CACHE_LINE.findall(text)
+            bad = None
+            if len(rows) != text.count("\n"):
+                rows = []
+                for line in text[:-1].split("\n"):
+                    found = _CACHE_LINE.fullmatch(line)
+                    if found is None:
+                        bad = line
+                        break
+                    rows.append(found.groups())
+            for row in rows:
+                d, delta, alpha, beta, value = row
+                a, b = text_ids.get(alpha), text_ids.get(beta)
+                if a is None or b is None or int(d) != weight[a] + weight[b]:
+                    a, b = _row_ids(path, row)
+                pair, shift, value = a << _ID_BITS | b, width * int(delta), int(value)
+                if value > top:
+                    top = value
+                    if top >= limit:
+                        self._widen(_width_for(top))
+                        width, limit = self._width, (1 << self._width) - 1
+                        shift = width * int(delta)
+                old = get(pair, 1)
+                if old >> shift == 1:  # the sentinel sits in this line's slot
+                    packed[pair] = old + ((value + limit) << shift)
+                    slots += 1
+                else:
+                    aside.append((int(delta), pair, value))
+            if bad is not None:
+                raise ValueError(f"cache file {path} has a malformed line {bad!r}")
+        for delta, pair, value in sorted(aside):
+            old = get(pair, 1)
+            shifted = old >> width * delta
+            if shifted == 1:
+                packed[pair] = old + ((value + limit) << width * delta)
+                slots += 1
+                continue
+            flat = delta << _DELTA_SHIFT | pair
+            # a repeat of a slot, or a line past a gap
+            there = shifted & limit if shifted else self._held.setdefault(flat, value)
+            if there != value:
+                raise AssertionError(f"cache file {path} holds two values for {_canonical(flat)}")
+        # a pair holds at most K + 1 slots of at most top each, so this bounds
+        # every slot sum
+        longest = max(map(int.bit_length, packed.values()), default=1) - 1
+        if (longest // width) * top >= limit:
+            self._widen(_width_for((longest // width) * top))
+        self._slots = slots
+        return read
+
+    def _items(self):
+        """(cache-line key, value) for every slot, pair by pair in table order."""
+        width = self._width
+        mask = (1 << width) - 1
+        for pair, value in self._packed.items():
+            for delta in range((value.bit_length() - 1) // width):
+                yield delta << _DELTA_SHIFT | pair, value & mask
+                value >>= width
+
+    def _lines(self, d: int, pairs, grown: dict, held: dict) -> str:
+        """The cache lines, in key text order, of the slots of degree-d pairs
+        that the file lacks: all of a pair's slots, or those past the last
+        one grown names for it, less the keys held names."""
+        width = self._width
+        mask = (1 << width) - 1
+        packed = self._packed
+        lines = []
+        for pair in pairs:
+            start = grown.get(pair, -1) + 1
+            value = packed[pair] >> width * start
+            tokens = f"{_text[pair >> _ID_BITS]}|{_text[pair & _ID_MASK]}"
+            for delta in range(start, (value.bit_length() - 1) // width + start):
+                if not held or delta << _DELTA_SHIFT | pair not in held:
+                    # key text is digits and ":|^ -", which JSON writes as is
+                    lines.append(f'{{"key": "{d}:{delta}:{tokens}", "value": "{value & mask}"}}\n')
+                value >>= width
+        # the key text leads each line, and no key text is a prefix of another
+        lines.sort()
+        return "".join(lines)
+
     def save(self, path):
-        """Append the entries the file lacks; writes the header on a fresh file.
+        """Append the slots the file lacks; writes the header on a fresh file.
 
         Saves to one path take turns: each holds an exclusive POSIX flock on
         the file from reading its header to its last append.  A torn last
@@ -447,8 +567,9 @@ class SeveriTable:
         file changed since this table last read or wrote it, the lines other
         runs appended (all lines, if it shrank) are read first: their keys
         are skipped, and one holding another value than this table raises
-        AssertionError before anything is written."""
-        entries = self._entries
+        AssertionError before anything is written.  Lines are appended in
+        key text order, each line built once."""
+        packed = self._packed
         with open(path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after the flush
             fh.seek(0)
@@ -457,28 +578,43 @@ class SeveriTable:
             if complete:
                 _check_header(path, first)
             fh.truncate(complete)
-            # a file that shrank may have lost lines this table saved
-            new = itertools.islice(entries, self._saved if complete >= self._length else 0, None)
+            held = self._held if complete else {}
             if not complete:
                 fh.write(_HEADER_LINE)
             elif complete != self._length:
                 fh.seek(self._length if 0 < self._length < complete else len(first))
-                there: dict[int, int] = {}
-                _read_lines(path, _blocks(fh), there)
-                for key, value in there.items():
-                    if entries.get(key, value) != value:
-                        raise AssertionError(
-                            f"cache file {path} holds {value} for {_canonical(key)}, "
-                            f"not {entries[key]}"
-                        )
-                new = [key for key in new if key not in there]
-            # key text is digits and ":|^ -", which JSON writes as is
-            fh.writelines(
-                f'{{"key": "{_canonical(key)}", "value": "{entries[key]}"}}\n'.encode("ascii")
-                for key in sorted(new, key=_canonical)
-            )
+                there = SeveriTable()
+                there._read(path, _blocks(fh))
+                held = dict(held) if complete > self._length else {}
+                held.update(there._items())
+                held.update(there._held)
+            width = self._width
+            for flat, value in held.items():
+                there = packed.get(flat & _PAIR_MASK, 0) >> width * (flat >> _DELTA_SHIFT)
+                if there >> width and there & (1 << width) - 1 != value:
+                    raise AssertionError(
+                        f"cache file {path} holds {value} for {_canonical(flat)}, "
+                        f"not {there & (1 << width) - 1}"
+                    )
+            if complete >= self._length:
+                grown = dict(self._grown)  # saved pairs -> the last slot saved
+                new = itertools.islice(packed, self._saved, None)
+            else:  # a file that shrank may have lost lines this table saved
+                grown, new = {}, packed
+            degrees: dict[int, list] = {}  # d -> the pairs with lines to write
+            for pair in new:
+                grown.pop(pair, None)  # rebuilt after it was made, not after a save
+                d = _weight[pair >> _ID_BITS] + _weight[pair & _ID_MASK]
+                degrees.setdefault(d, []).append(pair)
+            for pair in grown:
+                d = _weight[pair >> _ID_BITS] + _weight[pair & _ID_MASK]
+                degrees.setdefault(d, []).append(pair)
+            # key text sorts by "d:" first, so one degree's lines are sorted at a time
+            for d in sorted(degrees, key=lambda d: f"{d}:"):
+                fh.write(self._lines(d, degrees[d], grown, held).encode("ascii"))
             self._length = fh.seek(0, os.SEEK_END)
-        self._saved = len(entries)
+        self._saved = len(packed)
+        self._grown = {}
 
 
 # ----------------------------------------------------------------------
@@ -522,94 +658,152 @@ def _sub_ids(pid: int, cap: int) -> tuple:
 @lru_cache(maxsize=None)
 def _gain_ids(pid: int, weight: int, slack: int) -> tuple:
     """The degree-drop terms of unassigned profile beta = pid: the tuple for
-    slack - 1, then (prod_m m^gamma[m] * binom(beta + gamma, beta),
-    part = id(beta + gamma) - (excess << _DELTA_SHIFT)) for each new contact
-    profile gamma with I(gamma) = weight and excess = slack.  part plus
-    s << _DELTA_SHIFT | alpha' << _ID_BITS is the key of (s - excess, alpha',
-    beta + gamma) for every s >= excess, as both ids sit below _DELTA_SHIFT."""
+    slack - 1, then (prod_m m^gamma[m] * binom(beta + gamma, beta), excess,
+    id(beta + gamma)) for each new contact profile gamma with I(gamma) =
+    weight and excess = slack."""
     beta = _pairs[pid]
     counts = dict(beta)
     out = []
     for gamma, power in _new_contact_pairs(weight, slack):
         coeff = power * math.prod(math.comb(counts.get(m, 0) + c, c) for m, c in gamma)
-        out.append((coeff, _intern(_plus(beta, gamma)) - (slack << _DELTA_SHIFT)))
+        out.append((coeff, slack, _intern(_plus(beta, gamma))))
     return (_gain_ids(pid, weight, slack - 1) if slack else ()) + tuple(out)
 
 
 def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
     """N(d, delta; alpha, beta), memoized; negative delta gives 0 by convention."""
-    if key.delta < 0:
+    delta = key.delta
+    if delta < 0:
         return 0
-    key = _flat(key)
-    entries = table._entries
-    if key in entries:
+    flat = _flat(key)
+    pair = flat & _PAIR_MASK
+    if table._packed.get(pair, 0) >> table._width * (delta + 1):
         table.hits += 1
-        return entries[key]
-    table.misses += 1
-    get = entries.get
-    # Each term is looked up as it is built and added to the running sum.  A
-    # key with missing deps goes back on the stack once, as a frame
-    # (key, sum so far, [coeff, dep, ...] of the missing terms), under them,
-    # and is finished when the frame comes up again: its deps are then stored.
-    # No key is stored twice: (d, I(beta)) strictly decreases along deps, so
-    # a key never sits above its own frame on the stack.
-    stack: list = [key]
+    else:
+        table.misses += 1
+        alpha, beta = pair >> _ID_BITS, pair & _ID_MASK
+        # the pair's last slot is delta, and each pair it needs is built at
+        # k0 - E(alpha') - E(beta'), the most this request asks of it
+        while not _fill(table, flat, delta + _excess[alpha] + _excess[beta]):
+            pass
+    width = table._width
+    return table._packed[pair] >> width * delta & (1 << width) - 1
+
+
+def _fill(table: SeveriTable, root: int, k0: int) -> bool:
+    """Build the pair of root = K << _DELTA_SHIFT | pair with slots 0..K, and
+    each pair it needs that the table lacks or holds too short.
+
+    A pair other than a degree-one base pair is built at K = k0 - E(alpha)
+    - E(beta): a promotion keeps delta and E, and a degree drop lowers delta
+    by at least the E it adds, so no pair of this request needs more, and
+    (1^d, -) -> (-, gamma) and then promotions reach that K.  A base pair is
+    built at the prefix asked.  The recursion is linear in the prefixes and
+    each term only shifts delta, so a promotion adds m * P(dep, K) and a
+    degree drop adds (c * P(dep, K - s)) << (B * s), where P(dep, j) is the
+    dep's slots 0..j and s = I(alpha') + I(beta) + excess.  The new pair's
+    slot sum is the sum of c * (P(dep, j) % (2^B - 1)) over its terms; if it
+    reaches 2^B - 1, the table is widened and repacked and False returned,
+    and the request is asked again.  A pair rebuilt longer must keep the
+    slots it had, or AssertionError is raised.
+
+    One loop with an explicit stack builds the pairs.  Each term is looked
+    up as it is built and added to the running sum; a pair with missing or
+    short deps goes back on the stack once, as a frame (pair, K, sum, slot
+    sum, [coeff, dep, s, j, ...] of the missing terms), under them, and is
+    finished when the frame comes up again, its deps then built.  (d, I(beta))
+    strictly decreases along deps, so a pair never sits above its own frame."""
+    packed = table._packed
+    get = packed.get
+    width = table._width
+    modulus = (1 << width) - 1
+    masks = [(1 << width * (j + 1)) - 1 for j in range(k0 + 1)]  # P(dep, j) = value & masks[j]
+    stack: list = [root]
     while stack:
         top = stack.pop()
         if top.__class__ is tuple:
-            top, total, pending = top
-            for i in range(0, len(pending), 2):
-                total += pending[i] * entries[pending[i + 1]]
-            entries[top] = total
-            continue
-        if top in entries:
-            continue
-        delta = top >> _DELTA_SHIFT
-        alpha, beta = (top >> _ID_BITS) & _ID_MASK, top & _ID_MASK
-        ib = _weight[beta]
-        ia = _weight[alpha]
-        if ia + ib == 1:
-            entries[top] = 1 if delta == 0 else 0
-            continue
-        total = 0
-        pending = []
-        # promote one unassigned contact to an assigned one
-        down = _down[beta]
-        if down is None:
-            down = _lowered(beta)
-        up = _up[alpha]
-        same_delta = delta << _DELTA_SHIFT
-        for m, lowered in down:
-            raised = up.get(m)
-            if raised is None:
-                raised = _raised(alpha, m)
-            dep = same_delta | raised << _ID_BITS | lowered
-            value = get(dep)
-            if value is None:
-                pending += (m, dep)
-            else:
-                total += m * value
-        # drop the degree by one: delta' = delta - I(alpha') - I(beta) - excess
-        # must be >= 0 and I(alpha') <= I(alpha) - 1, so only keys with
-        # delta >= I(beta) and I(alpha) >= 1 have such terms; a profile's
-        # excess is below its weight (or 0), so no larger slack adds a term
-        if delta >= ib and ia:
-            for alpha_p, ia_p, ca in _sub_ids(alpha, min(delta - ib, ia - 1)):
-                slack, weight = delta - ia_p - ib, ia - 1 - ia_p
-                shifted = slack << _DELTA_SHIFT | alpha_p << _ID_BITS
-                for coeff, part in _gain_ids(beta, weight, min(slack, weight)):
-                    dep = shifted + part
-                    value = get(dep)
-                    if value is None:
-                        pending += (ca * coeff, dep)
-                    else:
-                        total += ca * coeff * value
-        if pending:
-            stack.append((top, total, pending))
-            stack += pending[1::2]
+            pair, k, total, slot_sum, pending = top
+            for i in range(0, len(pending), 4):
+                coeff, dep, shift, j = pending[i : i + 4]
+                value = packed[dep] & masks[j]
+                total += coeff * value << shift
+                slot_sum += coeff * (value % modulus)
         else:
-            entries[top] = total
-    return entries[key]
+            k, pair = top >> _DELTA_SHIFT, top & _PAIR_MASK
+            if get(pair, 0) > masks[k]:
+                continue
+            alpha, beta = pair >> _ID_BITS, pair & _ID_MASK
+            ia, ib = _weight[alpha], _weight[beta]
+            if ia + ib == 1:
+                total = slot_sum = 1
+            else:
+                total = slot_sum = 0
+                pending = []
+                # promote one unassigned contact to an assigned one
+                down = _down[beta]
+                if down is None:
+                    down = _lowered(beta)
+                up = _up[alpha]
+                full = masks[k]
+                for m, lowered in down:
+                    raised = up.get(m)
+                    if raised is None:
+                        raised = _raised(alpha, m)
+                    dep = raised << _ID_BITS | lowered
+                    value = get(dep, 0)
+                    if value > full:
+                        value &= full
+                        total += m * value
+                        slot_sum += m * (value % modulus)
+                    else:
+                        pending += (m, dep, 0, k)
+                # drop the degree by one: delta' = delta - I(alpha') - I(beta) - excess
+                # must be >= 0 and I(alpha') <= I(alpha) - 1, so only pairs with
+                # K >= I(beta) and I(alpha) >= 1 have such terms; a profile's
+                # excess is below its weight (or 0), so no larger slack adds a term
+                if k >= ib and ia:
+                    for alpha_p, ia_p, ca in _sub_ids(alpha, min(k - ib, ia - 1)):
+                        slack, left = k - ia_p - ib, ia - 1 - ia_p
+                        high = alpha_p << _ID_BITS
+                        for coeff, excess, gained in _gain_ids(beta, left, min(slack, left)):
+                            j = slack - excess
+                            dep = high | gained
+                            value = get(dep, 0)
+                            if value > masks[j]:
+                                value &= masks[j]
+                                total += ca * coeff * value << width * (k - j)
+                                slot_sum += ca * coeff * (value % modulus)
+                            else:
+                                pending += (ca * coeff, dep, width * (k - j), j)
+                if pending:
+                    stack.append((pair, k, total, slot_sum, pending))
+                    for i in range(1, len(pending), 4):
+                        dep, j = pending[i], pending[i + 2]
+                        da, db = dep >> _ID_BITS, dep & _ID_MASK
+                        if _weight[da] + _weight[db] > 1:
+                            j = k0 - _excess[da] - _excess[db]
+                        stack.append(j << _DELTA_SHIFT | dep)
+                    continue
+        if slot_sum >= modulus:
+            table._widen(_width_for(slot_sum))
+            return False
+        old = get(pair)
+        if old is None:
+            table._slots += k + 1
+        else:
+            kept = (old.bit_length() - 1) // width - 1
+            if (old ^ total) & masks[kept]:
+                slot = next(j for j in range(kept + 1) if (old ^ total) >> width * j & modulus)
+                flat = slot << _DELTA_SHIFT | pair
+                raise AssertionError(
+                    f"the table was given {old >> width * slot & modulus} for "
+                    f"{_canonical(flat)}, but the recursion gives {total >> width * slot & modulus}"
+                )
+            if table._saved:  # only a saved pair's last line on disk matters
+                table._grown.setdefault(pair, kept)
+            table._slots += k - kept
+        packed[pair] = total | 1 << width * (k + 1)
+    return True
 
 
 def severi(d: int, delta: int, table: SeveriTable) -> int:
@@ -641,6 +835,7 @@ def p2_series(d: int, order: int, table: SeveriTable) -> PowerSeries:
 
     These are the Severi degrees themselves; they equal T_r(plane(d)) only
     for d >= r (see check_threshold)."""
+    severi(d, order, table)  # first, so each pair is built once, at the prefix the series needs
     return PowerSeries.of([severi(d, r, table) for r in range(order + 1)], "x")
 
 

@@ -379,6 +379,58 @@ def test_cache_key_with_two_values_exits_3(tmp_path):
     assert str(cache) in json.loads(proc.stderr)["error"]["message"]
 
 
+def test_cache_value_an_extended_pair_rebuilds_differently_exits_3(tmp_path):
+    # a loaded pair that a request extends is rebuilt from its deps, so a
+    # hand-edited value in its prefix is caught there; read as is, it is trusted
+    cache = tmp_path / "table.jsonl"
+    table = ["severi-table", "--dmax", "5", "--deltamax", "2", "--cache", str(cache)]
+    assert run_cli(*table).returncode == 0
+    edited = cache.read_text().replace(
+        '{"key": "5:2:-|1^5", "value": "882"}', '{"key": "5:2:-|1^5", "value": "7"}'
+    )
+    assert edited != cache.read_text()
+    cache.write_text(edited)
+    assert run_cli(*table).stdout.splitlines()[-1] == "5,2,7"
+    proc = run_cli(*table[:-3], "3", "--cache", str(cache))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    message = json.loads(proc.stderr)["error"]["message"]
+    assert "7" in message and "5:2:-|1^5" in message and "882" in message
+    assert cache.read_text() == edited
+
+
+def test_cache_pair_whose_lines_are_not_a_prefix_keeps_its_prefix(tmp_path):
+    # a cache written by single-delta requests can hold a pair's lines with a
+    # gap: the pair keeps the prefix before the gap, the lines past it are
+    # still checked, and no save writes a second line for a key the file holds
+    cache = tmp_path / "table.jsonl"
+    args = ("severi-table", "--dmax", "5", "--deltamax", "3", "--cache", str(cache))
+    full = run_cli(*args)
+    assert full.returncode == 0
+    whole = cache.read_text()
+    gap = '{"key": "5:1:-|1^5", "value": "48"}\n'
+    assert gap in whole
+    cache.write_text(whole.replace(gap, ""))
+    loaded = SeveriTable.load(cache)
+    assert len(loaded) == whole.count("\n") - 1 - 3  # slots 1, 2 and 3 of -|1^5
+    assert run_cli(*args).stdout == full.stdout
+    lines = cache.read_text().splitlines()
+    assert len(lines) == len(set(lines)) == whole.count("\n")
+    assert sorted(lines) == sorted(whole.splitlines())
+    # a line past the gap holding another value than the recursion exits 3 at the save
+    cache.write_text(
+        whole.replace(gap, "").replace(
+            '{"key": "5:2:-|1^5", "value": "882"}', '{"key": "5:2:-|1^5", "value": "881"}'
+        )
+    )
+    before = cache.read_text()
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert str(cache) in json.loads(proc.stderr)["error"]["message"]
+    assert cache.read_text() == before
+
+
 def test_cache_with_crlf_line_ends_exits_2_before_any_severi_work(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "table.jsonl"
     args = ["severi", "--d", "5", "--delta", "2", "--cache", str(cache), "--no-timestamp"]

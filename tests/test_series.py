@@ -317,6 +317,19 @@ def test_log_kernel_matches_reference(tail, var):
     assert log.var == var and log.order == len(f) - 1
 
 
+def test_log_matches_its_three_pass_definition():
+    # log f runs one integer pass; its definition is t*f'/f = f.diff_d() / f,
+    # then coefficient n divided by n, at every order 0..30
+    import random
+
+    rng = random.Random(18)
+    for order in range(31):
+        tail = [F(rng.randint(-40, 40), rng.randint(1, 24)) for _ in range(order)]
+        f = PowerSeries.of([F(1)] + tail, "x")
+        q = (f.diff_d() / f).coeffs
+        assert exact(f.log()) == [q[0]] + [c / n for n, c in enumerate(q[1:], 1)]
+
+
 def test_log_at_order_zero_is_the_zero_series():
     log = PowerSeries.one(0, "x").log()
     assert log.coeffs == (F(0),) and log.var == "x"

@@ -28,6 +28,12 @@ F = Fraction
 EMPTY = TangencyProfile.empty()
 
 
+def _scalars(table) -> dict:
+    """The packed memo as one value per slot: {cache-line key: value}, pair
+    by pair in table order, each pair's slots by delta."""
+    return dict(table._items())
+
+
 # ----------------------------------------------------------------------
 # profiles and keys
 # ----------------------------------------------------------------------
@@ -180,18 +186,20 @@ def test_memo_statistics_move():
 
 def test_memo_key_set_is_pinned():
     # the keys the recursion creates, pinned by count and by the sha256 of
-    # the sorted key texts of severi(6, 2)
+    # the sorted key texts of severi(6, 2); a single request builds each pair's
+    # whole prefix, the keys of the requests delta = 0..delta
     from nodalcurves.severi import _canonical
 
     local = SeveriTable()
     severi(12, 3, local)
-    assert len(local) == 1314
+    assert len(local) == 1353
     local = SeveriTable()
     severi(6, 2, local)
-    texts = "\n".join(sorted(_canonical(key) for key in local._entries))
+    texts = "\n".join(sorted(_canonical(key) for key in _scalars(local)))
+    assert len(local) == 141
     assert (
         hashlib.sha256(texts.encode()).hexdigest()
-        == "43920305114cb0c266da219aa87bb076243341efc8bade85893875001025d1a8"
+        == "b540ba803ae28271c9e5f01ca0e8be32a3b57f9017f48594967f74c6768b5fa1"
     )
 
 
@@ -271,22 +279,22 @@ def test_cache_save_waits_for_the_file_lock_and_reads_the_header_under_it(tmp_pa
         other.write(b'{"format": "severi-cache-1"}\n')
     saver.join()
     assert path.read_text().count("format") == 1
-    assert SeveriTable.load(path)._entries == local._entries
+    assert _scalars(SeveriTable.load(path)) == _scalars(local)
 
 
 def test_memo_keys_share_their_profiles(tmp_path):
-    # a memo key packs (delta, alpha id, beta id); both ids name interned profiles
+    # a memo key packs (alpha id, beta id); both ids name interned profiles
     from nodalcurves.severi import _ID_BITS, _ID_MASK, _ids, _pairs
 
     local = SeveriTable()
     severi(12, 3, local)
-    for key in local._entries:
-        for pid in ((key >> _ID_BITS) & _ID_MASK, key & _ID_MASK):
+    for pair in local._packed:
+        for pid in (pair >> _ID_BITS, pair & _ID_MASK):
             assert _ids[_pairs[pid]] == pid
     path = tmp_path / "cache.jsonl"
     local.save(path)
     loaded = SeveriTable.load(path)
-    assert set(loaded._entries) == set(local._entries)
+    assert set(_scalars(loaded)) == set(_scalars(local))
 
 
 def test_cache_load_severi_save_load_keeps_entries_and_their_order(tmp_path):
@@ -297,13 +305,14 @@ def test_cache_load_severi_save_load_keeps_entries_and_their_order(tmp_path):
     value = severi(12, 3, computed)
     computed.save(path)
     loaded = SeveriTable.load(path)
-    assert loaded._entries == computed._entries
-    # a load inserts in file order, which is sorted by key text
-    assert list(loaded._entries) == sorted(loaded._entries, key=_canonical)
+    assert _scalars(loaded) == _scalars(computed)
+    # a load inserts pairs in file order, which is sorted by key text, so by
+    # the key text of each pair's delta-0 line
+    assert list(loaded._packed) == sorted(loaded._packed, key=_canonical)
     assert severi(12, 3, loaded) == value
     loaded.save(path)
     again = SeveriTable.load(path)
-    assert list(again._entries.items()) == list(loaded._entries.items())
+    assert list(again._packed.items()) == list(loaded._packed.items())
 
 
 def test_cache_file_bytes_are_pinned(tmp_path):
@@ -314,10 +323,10 @@ def test_cache_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "cache.jsonl"
     local.save(path)
     data = path.read_bytes()
-    assert (len(local), data.count(b"\n"), len(data)) == (48, 49, 1793)
+    assert (len(local), data.count(b"\n"), len(data)) == (61, 62, 2277)
     assert (
         hashlib.sha256(data).hexdigest()
-        == "3a78f44ba55d03124958b74e303fcaf6fc37931e94eb937754f563a099ff0fd5"
+        == "42572760cea172fc103fcf124d8d74ef90d6579215f4bca0464ead7c4691e0f3"
     )
 
 
@@ -335,8 +344,8 @@ def test_cache_saves_of_two_tables_write_each_key_once(tmp_path):
     first.save(path)
     lines = path.read_text().splitlines()
     keys = [json.loads(line)["key"] for line in lines[1:]]
-    assert len(keys) == len(set(keys)) == len(first._entries.keys() | second._entries.keys())
-    assert SeveriTable.load(path)._entries == {**second._entries, **first._entries}
+    assert len(keys) == len(set(keys)) == len(_scalars(first).keys() | _scalars(second).keys())
+    assert _scalars(SeveriTable.load(path)) == {**_scalars(second), **_scalars(first)}
     # with no other save in between, a save reads nothing back and appends in key order
     severi(7, 3, first)
     size = path.stat().st_size
@@ -367,7 +376,7 @@ def test_cache_save_onto_a_file_that_shrank_writes_every_entry_it_lacks(tmp_path
     path.write_bytes(data[: data.index(b"\n") + 1])  # the file is started afresh
     severi(5, 3, local)
     local.save(path)
-    assert SeveriTable.load(path)._entries == local._entries
+    assert _scalars(SeveriTable.load(path)) == _scalars(local)
     assert path.read_bytes().count(b"\n") == len(local) + 1
 
 
@@ -394,7 +403,7 @@ def test_cache_load_holds_one_block_at_a_time(cache_26):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded._entries == local._entries
+    assert _scalars(loaded) == _scalars(local)
     assert peak - after < size // 2
 
 
@@ -403,7 +412,7 @@ def test_cache_load_reads_the_same_entries_in_any_block_size(cache_26, monkeypat
     whole = SeveriTable.load(path)
     monkeypatch.setattr(sys.modules["nodalcurves.severi"], "_CHUNK", 7)  # shorter than any line
     loaded = SeveriTable.load(path)
-    assert list(loaded._entries.items()) == list(whole._entries.items())
+    assert list(loaded._packed.items()) == list(whole._packed.items())
     assert loaded._length == path.stat().st_size
 
 
@@ -468,13 +477,16 @@ def test_node_poly_window_too_short(table):
 
 
 def test_fill_interns_each_profile_once(tmp_path):
-    from nodalcurves.severi import _down, _ids, _pairs, _text, _up, _weight
+    from nodalcurves.severi import _down, _excess, _ids, _pairs, _text, _up, _weight
 
     table = SeveriTable()
     for d, k in [(12, 3)] * 4 + [(d, k) for d in range(2, 12) for k in range(0, 4)]:
         severi(d, k, table)
     assert all(_ids[pairs] == pid for pid, pairs in enumerate(_pairs))
     assert len(_ids) == len(_pairs) == len(_weight) == len(_text) == len(_up) == len(_down)
+    assert len(_excess) == len(_pairs)
+    assert all(_excess[pid] == _weight[pid] - sum(c for _, c in pairs)
+               for pid, pairs in enumerate(_pairs))
     path = tmp_path / "cache.jsonl"
     table.save(path)
     lines = path.read_text().splitlines()[1:]
@@ -611,7 +623,7 @@ def _check_every_entry_against_naive(table) -> tuple[int, int]:
 
     memo = {}
     promoting = dropping = 0
-    for flat, value in table._entries.items():
+    for flat, value in _scalars(table).items():
         alpha = TangencyProfile(_pairs[(flat >> _ID_BITS) & _ID_MASK])
         beta = TangencyProfile(_pairs[flat & _ID_MASK])
         key = SeveriKey(alpha.weight + beta.weight, flat >> _DELTA_SHIFT, alpha, beta)
@@ -664,7 +676,7 @@ def test_deep_keys_run_on_the_explicit_stack():
     assert len(local) == 20299
     local = SeveriTable()
     assert severi(150, 1, local) == 3 * 149**2
-    assert len(local) == 44850
+    assert len(local) == 45001
     assert sys.getrecursionlimit() == limit
 
 
@@ -688,6 +700,95 @@ def test_term_tables_share_their_prefixes():
             assert all(a is b for a, b in zip(longer, shorter))
 
 
+# prefix-closed request sets, each degree's highest delta first, as the CLI asks
+_PREFIX_CLOSED = {
+    "order-4-at-19-20": [SeveriKey.plain(d, r) for d in (19, 20) for r in range(4, -1, -1)],
+    "severi-table-12x4": [SeveriKey.plain(d, r) for d in range(1, 13) for r in range(4, -1, -1)],
+    "tangency": [
+        SeveriKey(6, r, TangencyProfile.of({1: 1, 2: 1}), TangencyProfile.of({1: 1, 2: 1}))
+        for r in range(3, -1, -1)
+    ],
+}
+_NAIVE_MEMO: dict = {}  # shared by the cases below, which reach many of the same keys
+
+
+@pytest.mark.parametrize("case", sorted(_PREFIX_CLOSED))
+def test_each_pair_is_built_at_its_closed_form_length(case):
+    # K = k0 - E(alpha) - E(beta) for every pair, with k0 the requested delta
+    # plus the requested pair's E, save the base pair 1^1|- at k0 - 1, and every
+    # slot matches _naive; the naive recursion takes about 27 s on all 8,914
+    # slots of degrees 19 and 20, so there it checks the slots of degree <= 12
+    # and the plain values of the top degrees against the closed forms
+    from nodalcurves.severi import _DELTA_SHIFT, _excess, _ids, _ID_BITS, _ID_MASK, _pairs
+
+    requests = _PREFIX_CLOSED[case]
+    first = requests[0]
+    k0 = first.delta + _excess[_ids[first.alpha.pairs]] + _excess[_ids[first.beta.pairs]]
+    local = SeveriTable()
+    values = [severi_relative(key, local) for key in requests]
+    base = _ids[((1, 1),)] << _ID_BITS | _ids[()]
+    width = local._width
+    for pair, value in local._packed.items():
+        k = (value.bit_length() - 1) // width - 1
+        alpha, beta = pair >> _ID_BITS, pair & _ID_MASK
+        expected = k0 - 1 if pair == base else k0 - _excess[alpha] - _excess[beta]
+        assert k == expected, (case, _pairs[alpha], _pairs[beta])
+    assert base in local._packed
+    for flat, value in _scalars(local).items():
+        alpha = TangencyProfile(_pairs[(flat >> _ID_BITS) & _ID_MASK])
+        beta = TangencyProfile(_pairs[flat & _ID_MASK])
+        if alpha.weight + beta.weight <= 12:
+            key = SeveriKey(alpha.weight + beta.weight, flat >> _DELTA_SHIFT, alpha, beta)
+            assert value == _naive(key, _NAIVE_MEMO), key.canonical()
+    for key, value in zip(requests, values):
+        if key.d <= 12:
+            assert value == _naive(key, _NAIVE_MEMO)
+        elif key.delta <= 3:
+            d = key.d
+            closed = [1, 3 * (d - 1) ** 2, F(3, 2) * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)]
+            closed.append(
+                F(9, 2) * d**6 - 27 * d**5 + F(9, 2) * d**4 + F(423, 2) * d**3
+                - 229 * d**2 - F(829, 2) * d + 525
+            )
+            assert value == closed[key.delta]
+
+
+def test_a_too_narrow_slot_width_widens_to_the_same_values(monkeypatch, tmp_path):
+    # a table started at 8-bit slots sees slot sums reach 2^8 - 1, widens in
+    # steps of 32 bits, repacks and redoes the request, with the same values
+    requests = [(d, r) for d in range(1, 13) for r in range(4, -1, -1)]
+    wide = SeveriTable()
+    expected = [severi(d, r, wide) for d, r in requests]
+    monkeypatch.setattr(sys.modules["nodalcurves.severi"], "_WIDTH", 8)
+    narrow = SeveriTable()
+    assert narrow._width == 8
+    assert [severi(d, r, narrow) for d, r in requests] == expected
+    assert (narrow._width, wide._width) == (32, 64)  # the smallest multiple of 32 that holds them
+    assert len(narrow) == len(wide) and _scalars(narrow) == _scalars(wide)
+    # a load into an 8-bit table widens before it packs a value that does not fit
+    path = tmp_path / "cache.jsonl"
+    wide.save(path)
+    loaded = SeveriTable.load(path)
+    assert loaded._width > 8 and loaded._width % 32 == 0
+    assert _scalars(loaded) == _scalars(wide)
+
+
+def test_ascending_and_descending_requests_give_the_same_table():
+    # each pair is built at the longest prefix its request can ask; an
+    # ascending order rebuilds pairs longer, keeping their slots, and ends
+    # with the very table the descending order builds once
+    tangency = (TangencyProfile.of({1: 1, 2: 1}), TangencyProfile.of({1: 2}))
+    keys = [SeveriKey.plain(d, r) for d in range(1, 11) for r in range(5)]
+    keys += [SeveriKey(5, r, *tangency) for r in range(4)]
+    up, down = SeveriTable(), SeveriTable()
+    ascending = [severi_relative(key, up) for key in keys]
+    descending = [severi_relative(key, down) for key in reversed(keys)][::-1]
+    assert ascending == descending
+    assert len(up) == len(down)
+    assert sorted(_scalars(up).items()) == sorted(_scalars(down).items())
+    assert up.misses > down.misses
+
+
 def test_slack_far_above_the_weight_builds_only_small_partitions():
     # severi(6, 50) asks for slacks up to 50, but a new contact profile's
     # excess is below its weight, so no partition of more than 5 is needed and
@@ -709,7 +810,7 @@ def test_slack_far_above_the_weight_builds_only_small_partitions():
     )
     assert proc.returncode == 0, proc.stderr
     value, entries, partitions, same_limit = proc.stdout.split()
-    assert (value, entries, same_limit) == ("0", "493", "True")
+    assert (value, entries, same_limit) == ("0", "3979", "True")
     assert int(partitions) <= 21
 
 
