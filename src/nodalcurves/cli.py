@@ -46,6 +46,7 @@ from .severi import (
     SeveriKey,
     SeveriTable,
     TangencyProfile,
+    build_order,
     check_threshold,
     severi,
     severi_relative,
@@ -70,13 +71,12 @@ EXIT_INCONSISTENT = 3
 
 
 def _precompute(table: SeveriTable, pairs):
-    """Evaluate the top-level Severi keys once each, by degree, each degree's
-    highest delta first, so the table builds each pair once, at the prefix
-    the degree needs.
+    """Evaluate the top-level Severi keys once each, in build_order, so the
+    table builds each pair once, at the prefix the degree needs.
 
     No output depends on it.  It stays because perfbench pins severi.calls,
     and it makes 14 of fit-deep's 16 calls and 186 of cache-roundtrip's 347."""
-    for d, delta in sorted(set(pairs), key=lambda pair: (pair[0], -pair[1])):
+    for d, delta in build_order(pairs):
         severi(d, delta, table)
 
 

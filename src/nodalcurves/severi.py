@@ -37,19 +37,21 @@ memo keeps each pair's prefix as one int of fixed-width slots (Kronecker
 substitution): a term is one bigint multiply, shift and add.  Each pair is
 built once per request, at the longest prefix the request can ask of it,
 k0 - E(alpha) - E(beta) with E the excess sum_m (m - 1) * count and k0 the
-requested delta plus the requested pair's E.  The slot width starts at
-_WIDTH bits and is widened, with every pair repacked, before any slot could
-carry into the next, which slot sums rule out exactly.  The
-sub-profile and new-contact term tables are memoized per id, and each one
-for cap or slack s is the one for s - 1 plus the terms at exactly s, so
-every term is built once.  One loop with an explicit stack builds the
-pairs; a pair with missing deps goes back on the stack once, as a frame
-holding its partial sum and missing terms.  SeveriKey, the cache text and
-the error messages translate at the table's boundary.  Values are
-arbitrary-precision integers and a pair's slots are write-once: a pair
-rebuilt longer must keep them.  A table and the intern tables belong to
-one thread: no thread lock is taken, and the one lock, save's flock on the
-cache file, keeps saves of separate runs apart.
+requested delta plus the requested pair's E.  A value is 0 once
+delta + E(alpha) + E(beta) exceeds d(d - 1)/2, so a request above that
+bound is answered 0 without building, and k0 never exceeds it.  The slot
+width starts at _WIDTH bits and is widened, with every pair repacked,
+before any slot could carry into the next, which slot sums rule out
+exactly.  The sub-profile and new-contact term tables are memoized per
+id, and each one for cap or slack s is the one for s - 1 plus the terms
+at exactly s, so every term is built once.  One loop with an explicit
+stack builds the pairs; a pair with missing deps goes back on the stack
+once, as a frame holding its partial sum and missing terms.  SeveriKey,
+the cache text and the error messages translate at the table's boundary.
+Values are arbitrary-precision integers and a pair's slots are
+write-once: a pair rebuilt longer must keep them.  A table and the intern
+tables belong to one thread: no thread lock is taken, and the one lock,
+save's flock on the cache file, keeps saves of separate runs apart.
 """
 
 from __future__ import annotations
@@ -387,7 +389,8 @@ class SeveriTable:
     no slots would pack as 1.  Every pair's slot sum stays below 2^B - 1, so
     no slot carries into the next and a masked prefix v has slot sum
     v % (2^B - 1).  The public methods take SeveriKey.  hits and misses
-    count top-level queries: a hit is a query answered from the table, a
+    count top-level queries: a hit is a query answered without computation,
+    from the table or as 0 above the node bound (see severi_relative), a
     miss one that triggered computation.  len() counts slots, one per
     (d, delta, alpha, beta) value, as the cache counts lines.
     """
@@ -671,20 +674,31 @@ def _gain_ids(pid: int, weight: int, slack: int) -> tuple:
 
 
 def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
-    """N(d, delta; alpha, beta), memoized; negative delta gives 0 by convention."""
+    """N(d, delta; alpha, beta), memoized; negative delta gives 0 by convention.
+
+    A nonzero value has delta + E(alpha) + E(beta) <= d(d - 1)/2: a promotion
+    keeps the sum and a degree drop lowers it by d - |alpha - alpha'| <= d - 1,
+    so by induction from degree one (where it is 0) it is at most
+    (d - 1)(d - 2)/2 + d - 1.  A request above that bound the table lacks is
+    answered 0 without building anything, so no pair a request builds is
+    longer than d(d - 1)/2 + 1 slots, whatever the delta."""
     delta = key.delta
     if delta < 0:
         return 0
     flat = _flat(key)
     pair = flat & _PAIR_MASK
+    alpha, beta = pair >> _ID_BITS, pair & _ID_MASK
+    k0 = delta + _excess[alpha] + _excess[beta]
     if table._packed.get(pair, 0) >> table._width * (delta + 1):
         table.hits += 1
+    elif k0 > key.d * (key.d - 1) // 2:
+        table.hits += 1
+        return 0
     else:
         table.misses += 1
-        alpha, beta = pair >> _ID_BITS, pair & _ID_MASK
         # the pair's last slot is delta, and each pair it needs is built at
         # k0 - E(alpha') - E(beta'), the most this request asks of it
-        while not _fill(table, flat, delta + _excess[alpha] + _excess[beta]):
+        while not _fill(table, flat, k0):
             pass
     width = table._width
     return table._packed[pair] >> width * delta & (1 << width) - 1
@@ -717,7 +731,9 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
     get = packed.get
     width = table._width
     modulus = (1 << width) - 1
-    masks = [(1 << width * (j + 1)) - 1 for j in range(k0 + 1)]  # P(dep, j) = value & masks[j]
+    # P(dep, j) = value & masks[j]; k0 <= d(d - 1)/2 (see severi_relative), so
+    # the masks' B * k0^2 / 2 bits do not grow with the requested delta
+    masks = [(1 << width * (j + 1)) - 1 for j in range(k0 + 1)]
     stack: list = [root]
     while stack:
         top = stack.pop()
@@ -813,6 +829,16 @@ def severi(d: int, delta: int, table: SeveriTable) -> int:
     return severi_relative(SeveriKey.plain(d, delta), table)
 
 
+def build_order(requests) -> list:
+    """The distinct plain requests (d, delta) by degree, each degree's highest
+    delta first: the order in which a table builds each pair once.
+
+    A request builds every pair at the longest prefix it can ask of it, so
+    the lower deltas of a degree are then hits; asked in ascending order,
+    they rebuild the degree's pairs one slot longer each time."""
+    return sorted(set(requests), key=lambda request: (request[0], -request[1]))
+
+
 def check_threshold(d: int, order: int):
     """Enforce the plane-degree rule d >= max(1, r) for every r <= order; no override.
 
@@ -835,8 +861,9 @@ def p2_series(d: int, order: int, table: SeveriTable) -> PowerSeries:
 
     These are the Severi degrees themselves; they equal T_r(plane(d)) only
     for d >= r (see check_threshold)."""
-    severi(d, order, table)  # first, so each pair is built once, at the prefix the series needs
-    return PowerSeries.of([severi(d, r, table) for r in range(order + 1)], "x")
+    requests = build_order((d, r) for r in range(order + 1))
+    values = {r: severi(d, r, table) for _, r in requests}
+    return PowerSeries.of([values[r] for r in range(order + 1)], "x")
 
 
 # ----------------------------------------------------------------------

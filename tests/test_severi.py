@@ -790,10 +790,11 @@ def test_ascending_and_descending_requests_give_the_same_table():
 
 
 def test_slack_far_above_the_weight_builds_only_small_partitions():
-    # severi(6, 50) asks for slacks up to 50, but a new contact profile's
-    # excess is below its weight, so no partition of more than 5 is needed and
-    # the prefix chains stay shallower than the degree; a fresh interpreter
-    # starts with empty enumeration caches and the default recursion limit
+    # severi(6, 15), at the node bound 6 * 5 / 2, asks for slacks up to 15, but
+    # a new contact profile's excess is below its weight, so no partition of
+    # more than 5 is needed and the prefix chains stay shallower than the
+    # degree; a fresh interpreter starts with empty enumeration caches and the
+    # default recursion limit
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -801,7 +802,7 @@ def test_slack_far_above_the_weight_builds_only_small_partitions():
         "import sys\n"
         "from nodalcurves.severi import SeveriTable, _partitions, severi\n"
         "limit, table = sys.getrecursionlimit(), SeveriTable()\n"
-        "value = severi(6, 50, table)\n"
+        "value = severi(6, 15, table)\n"
         "print(value, len(table), _partitions.cache_info().currsize)\n"
         "print(sys.getrecursionlimit() == limit)\n"
     )
@@ -810,8 +811,42 @@ def test_slack_far_above_the_weight_builds_only_small_partitions():
     )
     assert proc.returncode == 0, proc.stderr
     value, entries, partitions, same_limit = proc.stdout.split()
-    assert (value, entries, same_limit) == ("0", "3979", "True")
+    assert (value, entries, same_limit) == ("10395", "1179", "True")
     assert int(partitions) <= 21
+
+
+def test_requests_above_the_node_bound_are_zero_and_build_nothing():
+    # a nonzero N(d, delta; alpha, beta) has delta + E(alpha) + E(beta) <=
+    # d(d - 1)/2, so a request above that is 0 and builds no slot, whatever
+    # its delta; checked against the textbook recursion at the bound and above
+    for delta in (50, 5000):
+        table = SeveriTable()
+        assert severi(6, delta, table) == 0
+        assert len(table) == 0 and table.stats()["misses"] == 0
+    table = SeveriTable()
+    assert severi(6, 15, table) == 10395  # 6 lines through 12 points: 12! / (2^6 6!)
+    built = len(table)
+    assert severi(6, 16, table) == severi(6, 5000, table) == 0
+    assert len(table) == built
+    memo: dict = {}
+    profiles = [
+        ("", "1^4"),
+        ("", "3"),
+        ("2", "2"),
+        ("1 2", "1"),
+        ("", "1 3"),
+        ("2", "1^3"),
+        ("", "2^2 1"),
+    ]
+    for alpha_text, beta_text in profiles:
+        alpha, beta = TangencyProfile.parse(alpha_text), TangencyProfile.parse(beta_text)
+        d = alpha.weight + beta.weight
+        top = d * (d - 1) // 2 - sum((m - 1) * c for m, c in alpha.pairs + beta.pairs)
+        for delta in (top, top + 1, top + 2):
+            key = SeveriKey(d, delta, alpha, beta)
+            fresh = SeveriTable()
+            assert severi_relative(key, fresh) == _naive(key, memo), key.canonical()
+            assert (len(fresh) == 0) == (delta > top), key.canonical()
 
 
 @pytest.mark.parametrize("text", ["1^2,1^-1", "1^0", "1^2^3", "0", "0^2", "x", "2^", "^2"])
