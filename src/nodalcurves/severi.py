@@ -704,121 +704,238 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
     return table._packed[pair] >> width * delta & (1 << width) - 1
 
 
+def _box(union: int):
+    """The ids of the profiles alpha <= union in mixed-radix order, alpha at
+    index sum_m stride[m] * alpha[m], and the strides.  The complement union
+    - alpha of the profile at index i is the one at len - 1 - i."""
+    alphas = [_intern(())]
+    stride = {}
+    for m, c in _pairs[union]:
+        stride[m] = len(alphas)
+        row = alphas
+        for _ in range(c):
+            raised = [_up[a].get(m) for a in row]
+            row = [_raised(a, m) for a in row] if None in raised else raised
+            alphas += row
+    return alphas, stride
+
+
+def _within(sub, pairs) -> bool:
+    """Whether profile sub <= profile pairs, count by count."""
+    counts = dict(pairs)
+    return all(counts.get(m, 0) >= c for m, c in sub)
+
+
+def _asked(alphas: list, tops: list, asks: dict) -> list:
+    """The longest prefix the degree above asks of each member of a box, or
+    -1: through a drop term of a top member in tops, or as asks holds.
+
+    The top member (U, -) built at K has the drop term (alpha', U' -
+    alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha')."""
+    n1 = len(alphas) - 1
+    out = []
+    for i, alpha in enumerate(alphas):
+        sub, beta = _pairs[alpha], alphas[n1 - i]
+        k = max((k for union, k in tops if _within(sub, _pairs[union])), default=-1)
+        j = k - _weight[alpha] - _excess[beta] if k >= 0 else -1
+        out.append(max(j, asks.get(alpha << _ID_BITS | beta, -1)))
+    return out
+
+
+def _plan(table: SeveriTable, root: int, k0: int, masks: list):
+    """The pairs _fill builds for root, found top-down by degree: the
+    degree-one pairs, each with the longest prefix asked, and the families
+    as (K, union, olds, state), top-down.  olds holds each member's value in
+    the table, or None, and state is 1 for a member to build, 2 for a leaf
+    and 0 otherwise; both are None for a whole box the table holds none of.
+
+    A family's members to build are those reached by promotion from its
+    entries, through members the table does not hold at K; an entry is the
+    root, or a pair a drop term of the degree above lands on that the table
+    does not hold at the term's j.  Each drop term of a member (alpha, beta)
+    lands on a pair that the top member (U, -) has a drop term to, at a j no
+    smaller: keep alpha' and take beta + gamma, of excess E(beta) + E(gamma)
+    <= slack + E(beta) - I(beta).  So a family whose top member is built
+    asks only what the top member asks, and that member, built at K, has
+    the drop term (-, U') for every U' of the degree below with E(U') <= K:
+    with no member of U' in the table, the whole box of U' is built."""
+    get = table._packed.get
+    empty = _intern(())
+    base: dict[int, int] = {}
+    families = []
+    tops: list = []  # (union, K) of the families above whose top member is built
+    asks = {root & _PAIR_MASK: root >> _DELTA_SHIFT}  # pair -> j, from the others
+    d = _weight[root >> _ID_BITS & _ID_MASK] + _weight[root & _ID_MASK]
+    while tops or asks:
+        kmax = max((k for _, k in tops), default=-1)
+        unions = dict.fromkeys(
+            gained for _, _, gained in (_gain_ids(empty, d, min(kmax, d)) if tops else ())
+        )
+        for pair in asks:
+            unions[_intern(_plus(_pairs[pair >> _ID_BITS], _pairs[pair & _ID_MASK]))] = None
+        above, tops, asks = (tops, asks), [], {}
+        for union in unions:
+            k = k0 - _excess[union]
+            alphas, stride = _box(union)
+            n1 = len(alphas) - 1
+            olds = [get(a << _ID_BITS | b) for a, b in zip(alphas, reversed(alphas))]
+            if d == 1:
+                for i, j in enumerate(_asked(alphas, *above)):
+                    if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
+                        base[alphas[i] << _ID_BITS | alphas[n1 - i]] = j
+                continue
+            if olds.count(None) == len(olds) and (
+                _excess[union] <= kmax or alphas[n1] in above[1]
+            ):
+                families.append((k, union, None, None))
+                tops.append((union, k))
+                continue
+            if None not in olds and min(olds) > masks[k]:
+                continue  # every member held at K, so none is asked for
+            state = [0] * len(olds)
+            for i, j in enumerate(_asked(alphas, *above)):
+                if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
+                    state[i] = 1
+            if 1 not in state:
+                continue
+            for i in range(state.index(1), n1 + 1):
+                if state[i]:
+                    if olds[i] is not None and olds[i] > masks[k]:
+                        state[i] = 2
+                    else:
+                        for m, _ in _lowered(alphas[n1 - i]):
+                            state[i + stride[m]] = 1
+            families.append((k, union, olds, state))
+            if state[n1] == 1:
+                tops.append((union, k))
+                continue
+            for i in range(n1 + 1):
+                if state[i] != 1:
+                    continue
+                alpha, beta = alphas[i], alphas[n1 - i]
+                ia, ib = _weight[alpha], _weight[beta]
+                if k >= ib and ia:
+                    for alpha_p, ia_p, _ in _sub_ids(alpha, min(k - ib, ia - 1)):
+                        slack, left = k - ia_p - ib, ia - 1 - ia_p
+                        high = alpha_p << _ID_BITS
+                        for _, excess, gained in _gain_ids(beta, left, min(slack, left)):
+                            j = slack - excess
+                            dep = high | gained
+                            if get(dep, 0) <= masks[j] and asks.get(dep, -1) < j:
+                                asks[dep] = j
+        d -= 1
+    return base, families
+
+
+def _keep(table: SeveriTable, pair: int, old: int, total: int, k: int):
+    """Count the slots gained by a pair the table held as old and now holds
+    with slots 0..k as total; AssertionError unless it kept the old slots."""
+    width = table._width
+    modulus = (1 << width) - 1
+    kept = (old.bit_length() - 1) // width - 1
+    if (old ^ total) & (1 << width * (kept + 1)) - 1:
+        slot = next(j for j in range(kept + 1) if (old ^ total) >> width * j & modulus)
+        flat = slot << _DELTA_SHIFT | pair
+        raise AssertionError(
+            f"the table was given {old >> width * slot & modulus} for "
+            f"{_canonical(flat)}, but the recursion gives {total >> width * slot & modulus}"
+        )
+    if table._saved:  # only a saved pair's last line on disk matters
+        table._grown.setdefault(pair, kept)
+    table._slots += k - kept
+
+
 def _fill(table: SeveriTable, root: int, k0: int) -> bool:
     """Build the pair of root = K << _DELTA_SHIFT | pair with slots 0..K, and
     each pair it needs that the table lacks or holds too short.
 
-    A pair other than a degree-one base pair is built at K = k0 - E(alpha)
-    - E(beta): a promotion keeps delta and E, and a degree drop lowers delta
-    by at least the E it adds, so no pair of this request needs more, and
-    (1^d, -) -> (-, gamma) and then promotions reach that K.  A base pair is
-    built at the prefix asked.  The recursion is linear in the prefixes and
-    each term only shifts delta, so a promotion adds m * P(dep, K) and a
-    degree drop adds (c * P(dep, K - s)) << (B * s), where P(dep, j) is the
-    dep's slots 0..j and s = I(alpha') + I(beta) + excess.  The new pair's
-    slot sum is the sum of c * (P(dep, j) % (2^B - 1)) over its terms; if it
-    reaches 2^B - 1, the table is widened and repacked and False returned,
-    and the request is asked again.  A pair rebuilt longer must keep the
-    slots it had, or AssertionError is raised.
+    A promotion keeps alpha + beta, so the pairs of one union U = alpha +
+    beta form a family: a box over alpha's counts (see _box), in which the
+    promotion of member i by m is member i + stride[m].  E(alpha) + E(beta)
+    = E(U), and a promotion keeps delta and E while a degree drop lowers
+    delta by at least the E it adds, so every member of a family is built at
+    K = k0 - E(U) and no pair of this request needs more.  A degree-one base
+    pair is built at the longest prefix asked.  The recursion is linear in
+    the prefixes and each term only shifts delta, so a promotion adds
+    m * P(dep, K) and a degree drop adds (c * P(dep, K - s)) << (B * s),
+    where P(dep, j) is the dep's slots 0..j and s = I(alpha') + I(beta) +
+    excess.  A pair's slot sum is the sum of c * (P(dep, j) % (2^B - 1))
+    over its terms; if it reaches 2^B - 1, the table is widened and repacked
+    and False returned, and the request is asked again.  A pair rebuilt
+    longer must keep the slots it had, or AssertionError is raised.
 
-    One loop with an explicit stack builds the pairs.  Each term is looked
-    up as it is built and added to the running sum; a pair with missing or
-    short deps goes back on the stack once, as a frame (pair, K, sum, slot
-    sum, [coeff, dep, s, j, ...] of the missing terms), under them, and is
-    finished when the frame comes up again, its deps then built.  (d, I(beta))
-    strictly decreases along deps, so a pair never sits above its own frame."""
+    _plan finds the pairs to build, top-down by degree.  They are built
+    bottom-up by degree, each family from its top member (U, -) down, each
+    member's value and exact slot sum held in lists local to the family, so
+    a promotion term is two list reads; only drop terms read the table."""
     packed = table._packed
-    get = packed.get
     width = table._width
     modulus = (1 << width) - 1
     # P(dep, j) = value & masks[j]; k0 <= d(d - 1)/2 (see severi_relative), so
     # the masks' B * k0^2 / 2 bits do not grow with the requested delta
     masks = [(1 << width * (j + 1)) - 1 for j in range(k0 + 1)]
-    stack: list = [root]
-    while stack:
-        top = stack.pop()
-        if top.__class__ is tuple:
-            pair, k, total, slot_sum, pending = top
-            for i in range(0, len(pending), 4):
-                coeff, dep, shift, j = pending[i : i + 4]
-                value = packed[dep] & masks[j]
-                total += coeff * value << shift
-                slot_sum += coeff * (value % modulus)
-        else:
-            k, pair = top >> _DELTA_SHIFT, top & _PAIR_MASK
-            if get(pair, 0) > masks[k]:
-                continue
-            alpha, beta = pair >> _ID_BITS, pair & _ID_MASK
-            ia, ib = _weight[alpha], _weight[beta]
-            if ia + ib == 1:
-                total = slot_sum = 1
-            else:
-                total = slot_sum = 0
-                pending = []
-                # promote one unassigned contact to an assigned one
-                down = _down[beta]
-                if down is None:
-                    down = _lowered(beta)
-                up = _up[alpha]
-                full = masks[k]
-                for m, lowered in down:
-                    raised = up.get(m)
-                    if raised is None:
-                        raised = _raised(alpha, m)
-                    dep = raised << _ID_BITS | lowered
-                    value = get(dep, 0)
-                    if value > full:
-                        value &= full
-                        total += m * value
-                        slot_sum += m * (value % modulus)
-                    else:
-                        pending += (m, dep, 0, k)
-                # drop the degree by one: delta' = delta - I(alpha') - I(beta) - excess
-                # must be >= 0 and I(alpha') <= I(alpha) - 1, so only pairs with
-                # K >= I(beta) and I(alpha) >= 1 have such terms; a profile's
-                # excess is below its weight (or 0), so no larger slack adds a term
-                if k >= ib and ia:
-                    for alpha_p, ia_p, ca in _sub_ids(alpha, min(k - ib, ia - 1)):
-                        slack, left = k - ia_p - ib, ia - 1 - ia_p
-                        high = alpha_p << _ID_BITS
-                        for coeff, excess, gained in _gain_ids(beta, left, min(slack, left)):
-                            j = slack - excess
-                            dep = high | gained
-                            value = get(dep, 0)
-                            if value > masks[j]:
-                                value &= masks[j]
-                                total += ca * coeff * value << width * (k - j)
-                                slot_sum += ca * coeff * (value % modulus)
-                            else:
-                                pending += (ca * coeff, dep, width * (k - j), j)
-                if pending:
-                    stack.append((pair, k, total, slot_sum, pending))
-                    for i in range(1, len(pending), 4):
-                        dep, j = pending[i], pending[i + 2]
-                        da, db = dep >> _ID_BITS, dep & _ID_MASK
-                        if _weight[da] + _weight[db] > 1:
-                            j = k0 - _excess[da] - _excess[db]
-                        stack.append(j << _DELTA_SHIFT | dep)
-                    continue
-        if slot_sum >= modulus:
-            table._widen(_width_for(slot_sum))
-            return False
-        old = get(pair)
+    base, families = _plan(table, root, k0, masks)
+    for pair, k in base.items():
+        old = packed.get(pair)
         if old is None:
             table._slots += k + 1
         else:
-            kept = (old.bit_length() - 1) // width - 1
-            if (old ^ total) & masks[kept]:
-                slot = next(j for j in range(kept + 1) if (old ^ total) >> width * j & modulus)
-                flat = slot << _DELTA_SHIFT | pair
-                raise AssertionError(
-                    f"the table was given {old >> width * slot & modulus} for "
-                    f"{_canonical(flat)}, but the recursion gives {total >> width * slot & modulus}"
-                )
-            if table._saved:  # only a saved pair's last line on disk matters
-                table._grown.setdefault(pair, kept)
-            table._slots += k - kept
-        packed[pair] = total | 1 << width * (k + 1)
+            _keep(table, pair, old, 1, k)
+        packed[pair] = 1 | 1 << width * (k + 1)
+    while families:  # each family's lists are freed once it is built
+        k, union, olds, state = families.pop()
+        alphas, stride = _box(union)
+        sentinel = 1 << width * (k + 1)
+        n1 = len(alphas) - 1
+        values = [0] * len(alphas)
+        sums = [0] * len(alphas)
+        if state is None:
+            order = range(n1, -1, -1)
+        else:
+            order = [i for i in range(n1, -1, -1) if state[i] == 1]
+            for i, leaf in enumerate(state):
+                if leaf == 2:
+                    values[i] = value = olds[i] & masks[k]
+                    sums[i] = value % modulus
+        for i in order:
+            alpha, beta = alphas[i], alphas[n1 - i]
+            total = slot_sum = 0
+            # promote one unassigned contact to an assigned one
+            down = _down[beta]
+            if down is None:
+                down = _lowered(beta)
+            for m, _ in down:
+                dep = i + stride[m]
+                total += m * values[dep]
+                slot_sum += m * sums[dep]
+            # drop the degree by one: delta' = delta - I(alpha') - I(beta) - excess
+            # must be >= 0 and I(alpha') <= I(alpha) - 1, so only pairs with
+            # K >= I(beta) and I(alpha) >= 1 have such terms; a profile's
+            # excess is below its weight (or 0), so no larger slack adds a term
+            ib = _weight[beta]
+            if k >= ib and i:
+                ia = _weight[alpha]
+                for alpha_p, ia_p, ca in _sub_ids(alpha, min(k - ib, ia - 1)):
+                    slack, left = k - ia_p - ib, ia - 1 - ia_p
+                    high = alpha_p << _ID_BITS
+                    for coeff, excess, gained in _gain_ids(beta, left, min(slack, left)):
+                        j = slack - excess
+                        value = packed[high | gained] & masks[j]
+                        coeff *= ca
+                        total += coeff * value << width * (k - j)
+                        slot_sum += coeff * (value % modulus)
+            if slot_sum >= modulus:
+                table._widen(_width_for(slot_sum))
+                return False
+            pair = alpha << _ID_BITS | beta
+            old = olds[i] if olds else None
+            if old is None:
+                table._slots += k + 1
+            else:
+                _keep(table, pair, old, total, k)
+            packed[pair] = total | sentinel
+            values[i] = total
+            sums[i] = slot_sum
     return True
 
 
