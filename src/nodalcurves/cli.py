@@ -23,8 +23,9 @@ and B2, which are the same for every fit that meets d >= r, so it fits at
 degrees (order, order + 1), the lowest that bound accepts, with K3 squares
 2 and 4.
 Exit codes: 0 success, 2 validation error (including an unusable --cache
-path), 3 mathematical inconsistency detected (a nonzero fit residual from
-fit or a fit-backed genus-series, which still print, or a held-out mismatch).
+path), 3 mathematical inconsistency detected (a nonzero fit residual or a
+B1..B4 coefficient that is not an integer, from fit or a fit-backed
+genus-series, which still print, or a held-out mismatch).
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def cmd_fit(args, table: SeveriTable) -> tuple[str, int]:
     }
     config = fit.config.to_json_dict()
     config["q_order"] = gyz.q_order
-    status = EXIT_OK if gyz.residuals.ok else EXIT_INCONSISTENT
+    status = EXIT_OK if gyz.consistent else EXIT_INCONSISTENT
     return _emit(args, "fit", config, result), status
 
 
@@ -239,7 +240,7 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
         "chiO": args.chiO,
         "order": args.order,
     }
-    status = EXIT_INCONSISTENT if gyz is not None and not gyz.residuals.ok else EXIT_OK
+    status = EXIT_INCONSISTENT if gyz is not None and not gyz.consistent else EXIT_OK
     if args.output == "pretty":
         return f"{series.pretty()}\n", status
     return _emit(args, "genus-series", config, {"series": series.to_json_dict()}), status

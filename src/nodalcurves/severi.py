@@ -44,9 +44,14 @@ width starts at _WIDTH bits and is widened, with every pair repacked,
 before any slot could carry into the next, which slot sums rule out
 exactly.  The sub-profile and new-contact term tables are memoized per
 id, and each one for cap or slack s is the one for s - 1 plus the terms
-at exactly s, so every term is built once.  One loop with an explicit
-stack builds the pairs; a pair with missing deps goes back on the stack
-once, as a frame holding its partial sum and missing terms.  SeveriKey,
+at exactly s, so every term is built once.  A promotion moves one contact
+from beta to alpha, so the pairs of one union U = alpha + beta form a
+family, all built at one K = k0 - E(U): a box over alpha's counts, in
+which a promotion is a fixed step of the index.  A request finds its
+families top-down by degree, then builds each box from its top member
+(U, -) down, bottom-up by degree, with each member's value and exact slot
+sum in lists local to the family: a promotion term is two list reads,
+and only degree-drop terms read the memo.  SeveriKey,
 the cache text and the error messages translate at the table's boundary.
 Values are arbitrary-precision integers and a pair's slots are
 write-once: a pair rebuilt longer must keep them.  A table and the intern

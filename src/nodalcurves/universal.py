@@ -257,6 +257,14 @@ class GYZFit(Record):
     ):
         self._set(q_order, b1, b2, b3, b4, residuals)
 
+    @property
+    def consistent(self) -> bool:
+        """The residual identities vanish and every coefficient of B1..B4 is
+        an integer.  Integrality is observed for every fit checked here, not
+        proven, so a fit that breaks it is reported, not trusted."""
+        series = (self.b1, self.b2, self.b3, self.b4)
+        return self.residuals.ok and all(c.denominator == 1 for b in series for c in b.coeffs)
+
 
 def fit_B(fit: MultiplicativeFit, q_order: int | None = None) -> GYZFit:
     """Assemble B1, B2 and the residual identities from a multiplicative fit.

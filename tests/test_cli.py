@@ -625,6 +625,53 @@ def test_genus_series_with_a_nonzero_fit_residual_exits_3_and_still_prints(monke
     assert json.loads(capsys.readouterr().out)["command"] == "genus-series"
 
 
+def _plane_value_off_by(monkeypatch, degree, add):
+    """Make the fit read N(degree, 1) + add for the one-nodal plane count."""
+    from nodalcurves import universal
+
+    real_p2_series = universal.p2_series
+
+    def off_p2_series(d, order, table):
+        series = real_p2_series(d, order, table)
+        if d != degree:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[1] += add
+        return type(series)(tuple(coeffs), series.var)
+
+    monkeypatch.setattr(universal, "p2_series", off_p2_series)
+
+
+def test_fit_with_a_non_integral_B_coefficient_exits_3_and_still_prints(monkeypatch, capsys):
+    # one plane value off by one leaves both residual identities at zero, so
+    # only the integrality of B1..B4 shows it; order 2 fits at (9, 10)
+    _plane_value_off_by(monkeypatch, 9, 1)
+    assert cli.main(["fit", "--order", "2", "--no-timestamp"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "fit"
+    assert doc["result"]["residuals"]["ok"] is True
+    assert any("/" in c for c in doc["result"]["B"]["B1"]["coeffs"])
+
+
+def test_genus_series_with_a_non_integral_B_coefficient_exits_3_and_still_prints(
+    monkeypatch, capsys
+):
+    _plane_value_off_by(monkeypatch, 2, 1)  # genus-series fits at (order, order + 1)
+    argv = ["genus-series", "--r", "1", "--Ksq", "9", "--m", "-3", "--chiO", "1",
+            "--order", "2", "--no-timestamp"]
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["command"] == "genus-series"
+
+
+def test_a_plane_value_off_by_nine_is_not_caught(monkeypatch, capsys):
+    # the plane has K^2 = 9, so an error of 9 in one plane value moves B1 by
+    # an integer: residuals and integrality both pass, and the run exits 0
+    _plane_value_off_by(monkeypatch, 9, 9)
+    assert cli.main(["fit", "--order", "2", "--no-timestamp"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["residuals"]["ok"] is True
+
+
 # sha256 of the five --no-timestamp stdouts per order, joined in GENUS_GRID
 # order, as printed when genus-series still fitted at the default degrees
 GENUS_GRID = [(0, 1, 0, 0), (1, 9, -3, 1), (3, 4, 2, -2), (0, 0, 1, 2), (2, -1, -1, 3)]

@@ -23,6 +23,7 @@ from nodalcurves import (
     severi,
     severi_relative,
 )
+from nodalcurves.severi import build_order
 
 F = Fraction
 EMPTY = TangencyProfile.empty()
@@ -661,13 +662,32 @@ def test_every_entry_of_a_tangency_table_matches_naive():
         alpha = _profile_of_parts(parts[:split])
         beta = _profile_of_parts(parts[split:])
         severi_relative(SeveriKey(d, delta, alpha, beta), local)
+    # 2 of its 14 promotion families are built as partial up-sets, so this
+    # pins the pairs the build reaches from entries away from alpha = -
+    assert (len(local), len(local._packed)) == (212, 51)
     promoting, dropping = _check_every_entry_against_naive(local)
     assert promoting and dropping
 
 
-def test_deep_keys_run_on_the_explicit_stack():
-    # each key's deps form a chain through every entry, far deeper than the
-    # default recursion limit, which the loop must neither hit nor raise
+def test_builds_make_the_pairs_perfbench_counts():
+    # perfbench pins these counts for fit-deep and cache-roundtrip; a build
+    # that adds or drops a pair fails here too, not only in its CI job
+    local = SeveriTable()
+    for d, r in build_order((d, r) for d in (29, 30) for r in range(7)):
+        severi(d, r, local)
+    assert (len(local), len(local._packed)) == (79266, 35101)
+    local = SeveriTable()
+    for d, r in build_order((d, r) for d in range(1, 27) for r in range(6)):
+        severi(d, r, local)
+    assert len(local) == 31201
+    for d, r in build_order((27, r) for r in range(6)):
+        severi(d, r, local)
+    assert len(local) == 34229
+
+
+def test_deep_keys_build_without_recursion():
+    # each key's deps form a chain of one family per degree, far deeper than
+    # the default recursion limit, which the build must neither hit nor raise
     import sys
 
     limit = sys.getrecursionlimit()
