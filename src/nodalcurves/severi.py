@@ -709,10 +709,11 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
     return table._packed[pair] >> width * delta & (1 << width) - 1
 
 
-def _box(union: int):
+def _box(union: int, remember: bool = True):
     """The ids of the profiles alpha <= union in mixed-radix order, alpha at
     index sum_m stride[m] * alpha[m], and the strides.  The complement union
-    - alpha of the profile at index i is the one at len - 1 - i."""
+    - alpha of the profile at index i is the one at len - 1 - i.  A raised
+    id missing from _up is put there only if remember is true."""
     alphas = [_intern(())]
     stride = {}
     for m, c in _pairs[union]:
@@ -720,8 +721,13 @@ def _box(union: int):
         row = alphas
         for _ in range(c):
             raised = [_up[a].get(m) for a in row]
-            row = [_raised(a, m) for a in row] if None in raised else raised
-            alphas += row
+            if None in raised:
+                raised = [
+                    _raised(a, m) if remember else _intern(_plus(_pairs[a], ((m, 1),)))
+                    for a in row
+                ]
+            alphas += raised
+            row = raised
     return alphas, stride
 
 
@@ -781,7 +787,9 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
         above, tops, asks = (tops, asks), [], {}
         for union in unions:
             k = k0 - _excess[union]
-            alphas, stride = _box(union)
+            # a family whose bottom member (-, U) the table holds, as one loaded
+            # from a cache, is most likely held whole and only read here
+            alphas, stride = _box(union, get(empty << _ID_BITS | union) is None)
             n1 = len(alphas) - 1
             olds = [get(a << _ID_BITS | b) for a, b in zip(alphas, reversed(alphas))]
             if d == 1:
