@@ -797,9 +797,7 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
                     if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
                         base[alphas[i] << _ID_BITS | alphas[n1 - i]] = j
                 continue
-            if olds.count(None) == len(olds) and (
-                _excess[union] <= kmax or alphas[n1] in above[1]
-            ):
+            if not any(olds) and (_excess[union] <= kmax or empty << _ID_BITS | union in above[1]):
                 families.append((k, union, None, None))
                 tops.append((union, k))
                 continue
