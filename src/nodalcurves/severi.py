@@ -731,25 +731,27 @@ def _box(union: int, remember: bool = True):
     return alphas, stride
 
 
-def _within(sub, pairs) -> bool:
-    """Whether profile sub <= profile pairs, count by count."""
-    counts = dict(pairs)
-    return all(counts.get(m, 0) >= c for m, c in sub)
-
-
 def _asked(alphas: list, tops: list, asks: dict) -> list:
     """The longest prefix the degree above asks of each member of a box, or
     -1: through a drop term of a top member in tops, or as asks holds.
 
     The top member (U, -) built at K has the drop term (alpha', U' -
-    alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha')."""
+    alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha'),
+    so only the U with the largest K counts, and only if I(alpha') <= K."""
+    tops = sorted(((dict(_pairs[union]), k) for union, k in tops), key=lambda top: -top[1])
+    kmax = tops[0][1] if tops else -1
     n1 = len(alphas) - 1
     out = []
     for i, alpha in enumerate(alphas):
-        sub, beta = _pairs[alpha], alphas[n1 - i]
-        k = max((k for union, k in tops if _within(sub, _pairs[union])), default=-1)
-        j = k - _weight[alpha] - _excess[beta] if k >= 0 else -1
-        out.append(max(j, asks.get(alpha << _ID_BITS | beta, -1)))
+        beta = alphas[n1 - i]
+        j = asks.get(alpha << _ID_BITS | beta, -1)
+        if _weight[alpha] <= kmax:
+            sub = _pairs[alpha]
+            for counts, k in tops:
+                if all(counts.get(m, 0) >= c for m, c in sub):
+                    j = max(j, k - _weight[alpha] - _excess[beta])
+                    break
+        out.append(j)
     return out
 
 
@@ -758,7 +760,8 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
     degree-one pairs, each with the longest prefix asked, and the families
     as (K, union, olds, state), top-down.  olds holds each member's value in
     the table, or None, and state is 1 for a member to build, 2 for a leaf
-    and 0 otherwise; both are None for a whole box the table holds none of.
+    and 0 otherwise.  state is None when the whole box is built, and olds
+    too when the table holds none of it.
 
     A family's members to build are those reached by promotion from its
     entries, through members the table does not hold at K; an entry is the
@@ -769,7 +772,7 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
     <= slack + E(beta) - I(beta).  So a family whose top member is built
     asks only what the top member asks, and that member, built at K, has
     the drop term (-, U') for every U' of the degree below with E(U') <= K:
-    with no member of U' in the table, the whole box of U' is built."""
+    with no member of U' held at K', (-, U') reaches the whole box of U'."""
     get = table._packed.get
     empty = _intern(())
     base: dict[int, int] = {}
@@ -797,11 +800,14 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
                     if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
                         base[alphas[i] << _ID_BITS | alphas[n1 - i]] = j
                 continue
-            if not any(olds) and (_excess[union] <= kmax or empty << _ID_BITS | union in above[1]):
-                families.append((k, union, None, None))
-                tops.append((union, k))
-                continue
-            if None not in olds and min(olds) > masks[k]:
+            # the top members above ask (-, U) for the most, at kmax - E(U)
+            j0 = max(kmax - _excess[union], above[1].get(empty << _ID_BITS | union, -1))
+            if max(filter(None, olds), default=0) <= masks[k]:  # no member held at K
+                if j0 >= 0 and (olds[0] is None or olds[0] <= masks[j0]):
+                    families.append((k, union, olds if any(olds) else None, None))
+                    tops.append((union, k))
+                    continue
+            elif None not in olds and min(olds) > masks[k]:
                 continue  # every member held at K, so none is asked for
             state = [0] * len(olds)
             for i, j in enumerate(_asked(alphas, *above)):
