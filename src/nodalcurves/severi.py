@@ -736,8 +736,9 @@ def _asked(alphas: list, tops: list, asks: dict) -> list:
     -1: through a drop term of a top member in tops, or as asks holds.
 
     The top member (U, -) built at K has the drop term (alpha', U' -
-    alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha'),
-    so only the U with the largest K counts, and only if I(alpha') <= K."""
+    alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha'):
+    of the U that hold alpha', only the one with the largest K counts, and
+    only if I(alpha') <= K."""
     tops = sorted(((dict(_pairs[union]), k) for union, k in tops), key=lambda top: -top[1])
     kmax = tops[0][1] if tops else -1
     n1 = len(alphas) - 1
@@ -792,7 +793,7 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
             k = k0 - _excess[union]
             # a family whose bottom member (-, U) the table holds, as one loaded
             # from a cache, is most likely held whole and only read here
-            alphas, stride = _box(union, get(empty << _ID_BITS | union) is None)
+            alphas, stride = _box(union, remember=get(empty << _ID_BITS | union) is None)
             n1 = len(alphas) - 1
             olds = [get(a << _ID_BITS | b) for a, b in zip(alphas, reversed(alphas))]
             if d == 1:
@@ -800,7 +801,9 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
                     if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
                         base[alphas[i] << _ID_BITS | alphas[n1 - i]] = j
                 continue
-            # the top members above ask (-, U) for the most, at kmax - E(U)
+            # (-, U) is asked for the longest prefix of any member: kmax - E(U),
+            # by the top members above, or what asks holds; it reaches the
+            # whole box unless a member is held at K
             j0 = max(kmax - _excess[union], above[1].get(empty << _ID_BITS | union, -1))
             if max(filter(None, olds), default=0) <= masks[k]:  # no member held at K
                 if j0 >= 0 and (olds[0] is None or olds[0] <= masks[j0]):
@@ -826,6 +829,7 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
             if state[n1] == 1:
                 tops.append((union, k))
                 continue
+            # without its top member, each member built asks for its own terms
             for i in range(n1 + 1):
                 if state[i] != 1:
                     continue
