@@ -709,11 +709,10 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
     return table._packed[pair] >> width * delta & (1 << width) - 1
 
 
-def _box(union: int, remember: bool = True):
+def _box(union: int):
     """The ids of the profiles alpha <= union in mixed-radix order, alpha at
     index sum_m stride[m] * alpha[m], and the strides.  The complement union
-    - alpha of the profile at index i is the one at len - 1 - i.  A raised
-    id missing from _up is put there only if remember is true."""
+    - alpha of the profile at index i is the one at len - 1 - i."""
     alphas = [_intern(())]
     stride = {}
     for m, c in _pairs[union]:
@@ -721,13 +720,8 @@ def _box(union: int, remember: bool = True):
         row = alphas
         for _ in range(c):
             raised = [_up[a].get(m) for a in row]
-            if None in raised:
-                raised = [
-                    _raised(a, m) if remember else _intern(_plus(_pairs[a], ((m, 1),)))
-                    for a in row
-                ]
-            alphas += raised
-            row = raised
+            row = [_raised(a, m) for a in row] if None in raised else raised
+            alphas += row
     return alphas, stride
 
 
@@ -791,9 +785,7 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
         above, tops, asks = (tops, asks), [], {}
         for union in unions:
             k = k0 - _excess[union]
-            # a family whose bottom member (-, U) the table holds, as one loaded
-            # from a cache, is most likely held whole and only read here
-            alphas, stride = _box(union, remember=get(empty << _ID_BITS | union) is None)
+            alphas, stride = _box(union)
             n1 = len(alphas) - 1
             olds = [get(a << _ID_BITS | b) for a, b in zip(alphas, reversed(alphas))]
             if d == 1:
