@@ -733,8 +733,8 @@ def _asked(alphas: list, tops: list, asks: dict) -> list:
     alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha'):
     of the U that hold alpha', only the one with the largest K counts, and
     only if I(alpha') <= K."""
-    tops = sorted(((dict(_pairs[union]), k) for union, k in tops), key=lambda top: -top[1])
-    kmax = tops[0][1] if tops else -1
+    ranked = sorted(((dict(_pairs[union]), k) for union, k in tops), key=lambda top: -top[1])
+    kmax = ranked[0][1] if ranked else -1
     n1 = len(alphas) - 1
     out = []
     for i, alpha in enumerate(alphas):
@@ -742,7 +742,7 @@ def _asked(alphas: list, tops: list, asks: dict) -> list:
         j = asks.get(alpha << _ID_BITS | beta, -1)
         if _weight[alpha] <= kmax:
             sub = _pairs[alpha]
-            for counts, k in tops:
+            for counts, k in ranked:
                 if all(counts.get(m, 0) >= c for m, c in sub):
                     j = max(j, k - _weight[alpha] - _excess[beta])
                     break
