@@ -47,11 +47,14 @@ id, and each one for cap or slack s is the one for s - 1 plus the terms
 at exactly s, so every term is built once.  A promotion moves one contact
 from beta to alpha, so the pairs of one union U = alpha + beta form a
 family, all built at one K = k0 - E(U): a box over alpha's counts, in
-which a promotion is a fixed step of the index.  A request finds its
-families top-down by degree, then builds each box from its top member
-(U, -) down, bottom-up by degree, with each member's value and exact slot
-sum in lists local to the family: a promotion term is two list reads,
-and only degree-drop terms read the memo.  SeveriKey,
+which a promotion is a fixed step of the index.  A request builds its own
+family from the requested pair up, and below it, degree by degree, every
+family the degree above can reach, whole, unless the table already holds
+every member as long as the degree above can ask.  The families are
+built bottom-up by degree, each box from its top member (U, -) down, with
+each member's value and exact slot sum in lists local to the family: a
+promotion term is two list reads, only degree-drop terms read the memo,
+and a member the table holds at K is read as it is.  SeveriKey,
 the cache text and the error messages translate at the table's boundary.
 Values are arbitrary-precision integers and a pair's slots are
 write-once: a pair rebuilt longer must keep them.  A table and the intern
@@ -725,119 +728,48 @@ def _box(union: int):
     return alphas, stride
 
 
-def _asked(alphas: list, tops: list, asks: dict) -> list:
-    """The longest prefix the degree above asks of each member of a box, or
-    -1: through a drop term of a top member in tops, or as asks holds.
-
-    The top member (U, -) built at K has the drop term (alpha', U' -
-    alpha') for each alpha' <= U, at j = K - I(alpha') - E(U' - alpha'):
-    of the U that hold alpha', only the one with the largest K counts, and
-    only if I(alpha') <= K."""
-    ranked = sorted(((dict(_pairs[union]), k) for union, k in tops), key=lambda top: -top[1])
-    kmax = ranked[0][1] if ranked else -1
-    n1 = len(alphas) - 1
-    out = []
-    for i, alpha in enumerate(alphas):
-        beta = alphas[n1 - i]
-        j = asks.get(alpha << _ID_BITS | beta, -1)
-        if _weight[alpha] <= kmax:
-            sub = _pairs[alpha]
-            for counts, k in ranked:
-                if all(counts.get(m, 0) >= c for m, c in sub):
-                    j = max(j, k - _weight[alpha] - _excess[beta])
-                    break
-        out.append(j)
-    return out
-
-
 def _plan(table: SeveriTable, root: int, k0: int, masks: list):
-    """The pairs _fill builds for root, found top-down by degree: the
-    degree-one pairs, each with the longest prefix asked, and the families
-    as (K, union, olds, state), top-down.  olds holds each member's value in
-    the table, or None, and state is 1 for a member to build, 2 for a leaf
-    and 0 otherwise.  state is None when the whole box is built, and olds
-    too when the table holds none of it.
+    """The pairs _fill builds for root = delta << _DELTA_SHIFT | pair: the
+    degree-one pairs, each with the length of the prefix to build, and the
+    unions of the families to build, top-down by degree, root's own first.
 
-    A family's members to build are those reached by promotion from its
-    entries, through members the table does not hold at K; an entry is the
-    root, or a pair a drop term of the degree above lands on that the table
-    does not hold at the term's j.  Each drop term of a member (alpha, beta)
-    lands on a pair that the top member (U, -) has a drop term to, at a j no
-    smaller: keep alpha' and take beta + gamma, of excess E(beta) + E(gamma)
-    <= slack + E(beta) - I(beta).  So a family whose top member is built
-    asks only what the top member asks, and that member, built at K, has
-    the drop term (-, U') for every U' of the degree below with E(U') <= K:
-    with no member of U' held at K', (-, U') reaches the whole box of U'."""
+    root's own family is built from root up: the members alpha' >= alpha,
+    which promotion never leaves and which hold the top member (U, -).  A
+    drop term of a member (alpha, beta) built at K lands on (alpha', beta +
+    gamma), of a family U' of the degree below, at j = K - I(alpha') -
+    I(beta) - E(gamma) <= K - E(U'), since E(U') = E(alpha') + E(beta) +
+    E(gamma) and E <= I.  So with kmax the largest K built at a degree, the degree below asks at
+    most kmax - E(U') of the family U', and only of the U' of weight d - 1
+    with E(U') <= kmax.  Each of those is built whole at k0 - E(U'), unless
+    the table holds every member at kmax - E(U'); then it is skipped and
+    asks nothing.  The degree-one pairs are (-, 1), asked at kmax, and
+    (1, -), at kmax - 1."""
     get = table._packed.get
     empty = _intern(())
-    base: dict[int, int] = {}
-    families = []
-    tops: list = []  # (union, K) of the families above whose top member is built
-    asks = {root & _PAIR_MASK: root >> _DELTA_SHIFT}  # pair -> j, from the others
-    d = _weight[root >> _ID_BITS & _ID_MASK] + _weight[root & _ID_MASK]
-    while tops or asks:
-        kmax = max((k for _, k in tops), default=-1)
-        unions = dict.fromkeys(
-            gained for _, _, gained in (_gain_ids(empty, d, min(kmax, d)) if tops else ())
-        )
-        for pair in asks:
-            unions[_intern(_plus(_pairs[pair >> _ID_BITS], _pairs[pair & _ID_MASK]))] = None
-        above, tops, asks = (tops, asks), [], {}
-        for union in unions:
-            k = k0 - _excess[union]
-            alphas, stride = _box(union)
-            n1 = len(alphas) - 1
-            olds = [get(a << _ID_BITS | b) for a, b in zip(alphas, reversed(alphas))]
-            if d == 1:
-                for i, j in enumerate(_asked(alphas, *above)):
-                    if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
-                        base[alphas[i] << _ID_BITS | alphas[n1 - i]] = j
-                continue
-            # (-, U) is asked for the longest prefix of any member: kmax - E(U),
-            # by the top members above, or what asks holds; it reaches the
-            # whole box unless a member is held at K
-            j0 = max(kmax - _excess[union], above[1].get(empty << _ID_BITS | union, -1))
-            if max(filter(None, olds), default=0) <= masks[k]:  # no member held at K
-                if j0 >= 0 and (olds[0] is None or olds[0] <= masks[j0]):
-                    families.append((k, union, olds if any(olds) else None, None))
-                    tops.append((union, k))
-                    continue
-            elif None not in olds and min(olds) > masks[k]:
-                continue  # every member held at K, so none is asked for
-            state = [0] * len(olds)
-            for i, j in enumerate(_asked(alphas, *above)):
-                if j >= 0 and (olds[i] is None or olds[i] <= masks[j]):
-                    state[i] = 1
-            if 1 not in state:
-                continue
-            for i in range(state.index(1), n1 + 1):
-                if state[i]:
-                    if olds[i] is not None and olds[i] > masks[k]:
-                        state[i] = 2
-                    else:
-                        for m, _ in _lowered(alphas[n1 - i]):
-                            state[i + stride[m]] = 1
-            families.append((k, union, olds, state))
-            if state[n1] == 1:
-                tops.append((union, k))
-                continue
-            # without its top member, each member built asks for its own terms
-            for i in range(n1 + 1):
-                if state[i] != 1:
-                    continue
-                alpha, beta = alphas[i], alphas[n1 - i]
-                ia, ib = _weight[alpha], _weight[beta]
-                if k >= ib and ia:
-                    for alpha_p, ia_p, _ in _sub_ids(alpha, min(k - ib, ia - 1)):
-                        slack, left = k - ia_p - ib, ia - 1 - ia_p
-                        high = alpha_p << _ID_BITS
-                        for _, excess, gained in _gain_ids(beta, left, min(slack, left)):
-                            j = slack - excess
-                            dep = high | gained
-                            if get(dep, 0) <= masks[j] and asks.get(dep, -1) < j:
-                                asks[dep] = j
-        d -= 1
-    return base, families
+    alpha, beta = root >> _ID_BITS & _ID_MASK, root & _ID_MASK
+    d = _weight[alpha] + _weight[beta]
+    if d == 1:
+        return {root & _PAIR_MASK: root >> _DELTA_SHIFT}, []
+    union = _intern(_plus(_pairs[alpha], _pairs[beta]))
+    unions = [union]
+    kmax = k0 - _excess[union]
+    for d in range(d - 1, 1, -1):
+        top = -1  # the largest K of the families built at degree d
+        for _, excess, union in _gain_ids(empty, d, min(kmax, d)):
+            alphas = _box(union)[0]
+            mask = masks[kmax - excess]
+            if any(get(a << _ID_BITS | b, 0) <= mask for a, b in zip(alphas, reversed(alphas))):
+                unions.append(union)
+                top = max(top, k0 - excess)
+        kmax = top
+        if kmax < 0:
+            break
+    one = _intern(((1, 1),))
+    base = {}
+    for pair, j in ((empty << _ID_BITS | one, kmax), (one << _ID_BITS | empty, kmax - 1)):
+        if j >= 0 and get(pair, 0) <= masks[j]:
+            base[pair] = j
+    return base, unions
 
 
 def _keep(table: SeveriTable, pair: int, old: int, total: int, k: int):
@@ -868,7 +800,7 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
     = E(U), and a promotion keeps delta and E while a degree drop lowers
     delta by at least the E it adds, so every member of a family is built at
     K = k0 - E(U) and no pair of this request needs more.  A degree-one base
-    pair is built at the longest prefix asked.  The recursion is linear in
+    pair is built at the prefix _plan gives.  The recursion is linear in
     the prefixes and each term only shifts delta, so a promotion adds
     m * P(dep, K) and a degree drop adds (c * P(dep, K - s)) << (B * s),
     where P(dep, j) is the dep's slots 0..j and s = I(alpha') + I(beta) +
@@ -877,17 +809,18 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
     and False returned, and the request is asked again.  A pair rebuilt
     longer must keep the slots it had, or AssertionError is raised.
 
-    _plan finds the pairs to build, top-down by degree.  They are built
-    bottom-up by degree, each family from its top member (U, -) down, each
-    member's value and exact slot sum held in lists local to the family, so
-    a promotion term is two list reads; only drop terms read the table."""
+    _plan finds the families to build, top-down by degree.  They are built
+    bottom-up by degree, each from its top member (U, -) down, each member's
+    value and exact slot sum held in lists local to the family, so a
+    promotion term is two list reads; only drop terms read the table.  A
+    member the table holds at K is read as a leaf, never rebuilt shorter."""
     packed = table._packed
     width = table._width
     modulus = (1 << width) - 1
     # P(dep, j) = value & masks[j]; k0 <= d(d - 1)/2 (see severi_relative), so
     # the masks' B * k0^2 / 2 bits do not grow with the requested delta
     masks = [(1 << width * (j + 1)) - 1 for j in range(k0 + 1)]
-    base, families = _plan(table, root, k0, masks)
+    base, unions = _plan(table, root, k0, masks)
     for pair, k in base.items():
         old = packed.get(pair)
         if old is None:
@@ -895,23 +828,29 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
         else:
             _keep(table, pair, old, 1, k)
         packed[pair] = 1 | 1 << width * (k + 1)
-    while families:  # each family's lists are freed once it is built
-        k, union, olds, state = families.pop()
+    low = root >> _ID_BITS & _ID_MASK  # root's alpha
+    while unions:  # each family's lists are freed once it is built
+        union = unions.pop()
+        k = k0 - _excess[union]
         alphas, stride = _box(union)
-        sentinel = 1 << width * (k + 1)
+        mask, sentinel = masks[k], 1 << width * (k + 1)
         n1 = len(alphas) - 1
         values = [0] * len(alphas)
         sums = [0] * len(alphas)
-        if state is None:
-            order = range(n1, -1, -1)
-        else:
-            order = [i for i in range(n1, -1, -1) if state[i] == 1]
-            for i, leaf in enumerate(state):
-                if leaf == 2:
-                    values[i] = value = olds[i] & masks[k]
-                    sums[i] = value % modulus
+        order = range(n1, -1, -1)
+        if not unions:  # root's own family: the members alpha + s for s <= beta
+            order = [sum(stride[m] * c for m, c in _pairs[low])]
+            for m, c in _pairs[alphas[n1 - order[0]]]:
+                order = [i + stride[m] * t for i in order for t in range(c + 1)]
+            order.sort(reverse=True)
         for i in order:
             alpha, beta = alphas[i], alphas[n1 - i]
+            pair = alpha << _ID_BITS | beta
+            old = packed.get(pair)
+            if old is not None and old > mask:  # held at K: a leaf
+                values[i] = value = old & mask
+                sums[i] = value % modulus
+                continue
             total = slot_sum = 0
             # promote one unassigned contact to an assigned one
             down = _down[beta]
@@ -940,8 +879,6 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
             if slot_sum >= modulus:
                 table._widen(_width_for(slot_sum))
                 return False
-            pair = alpha << _ID_BITS | beta
-            old = olds[i] if olds else None
             if old is None:
                 table._slots += k + 1
             else:
