@@ -738,12 +738,12 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
     drop term of a member (alpha, beta) built at K lands on (alpha', beta +
     gamma), of a family U' of the degree below, at j = K - I(alpha') -
     I(beta) - E(gamma) <= K - E(U'), since E(U') = E(alpha') + E(beta) +
-    E(gamma) and E <= I.  So with kmax the largest K built at a degree, the degree below asks at
-    most kmax - E(U') of the family U', and only of the U' of weight d - 1
-    with E(U') <= kmax.  Each of those is built whole at k0 - E(U'), unless
-    the table holds every member at kmax - E(U'); then it is skipped and
-    asks nothing.  The degree-one pairs are (-, 1), asked at kmax, and
-    (1, -), at kmax - 1."""
+    E(gamma) and E <= I.  So with kmax the largest K built at a degree, the
+    degree below asks at most kmax - E(U') of a family U', and only of the
+    U' of weight d - 1 with E(U') <= kmax.  Each of those is built whole at
+    k0 - E(U'), unless the table holds every member at kmax - E(U'); then
+    it is skipped and asks nothing.  The degree-one pairs are (-, 1), asked
+    at kmax, and (1, -), at kmax - 1; a degree-one root is built alone."""
     get = table._packed.get
     empty = _intern(())
     alpha, beta = root >> _ID_BITS & _ID_MASK, root & _ID_MASK

@@ -672,7 +672,7 @@ def test_every_entry_of_a_tangency_table_matches_naive():
 def test_a_cache_missing_some_lines_of_a_family_gives_a_fresh_tables_values(tmp_path):
     # a plain table saved and reloaded less the lines delta >= 3 of the members
     # of the family 1^5 2 with an odd number of assigned contacts: the others
-    # are held at that family's K = 5, longer than the K = 4 a request at
+    # are held at that family's K = 5, longer than the K = 3 a request at
     # 7:3:2^1|1^5 builds it at, so they are read as leaves, not rebuilt shorter
     from nodalcurves.severi import _ID_BITS, _ids
 
@@ -695,17 +695,16 @@ def test_a_cache_missing_some_lines_of_a_family_gives_a_fresh_tables_values(tmp_
     assert len(lines) - len(kept) == 3 * len(odd) == 3 * 6
     path.write_text(header + "".join(kept))
     loaded = SeveriTable.load(path)
-    lengths = {
-        alpha.size % 2: loaded._packed[_ids[alpha.pairs] << _ID_BITS | _ids[beta.pairs]].bit_length()
-        // loaded._width
-        for alpha, beta in members
-    }
-    assert lengths == {0: 6, 1: 3}  # slots 0..5 and 0..2
+    slots = set()
+    for alpha, beta in members:
+        held = loaded._packed[_ids[alpha.pairs] << _ID_BITS | _ids[beta.pairs]]
+        slots.add((alpha.size % 2, held.bit_length() // loaded._width))
+    assert slots == {(0, 6), (1, 3)}  # slots 0..5 and 0..2
     e2, e1 = TangencyProfile.of({2: 1}), TangencyProfile.simple
     keys = [
-        SeveriKey(7, 3, e2, e1(5)),  # the family at K = 4
-        SeveriKey(7, 4, TangencyProfile.of({1: 2, 2: 1}), e1(3)),  # at K = 5
-        SeveriKey(7, 3, e1(3), TangencyProfile.of({1: 2, 2: 1})),  # at K = 4
+        SeveriKey(7, 3, e2, e1(5)),  # the family from 2^1 up at K = 3
+        SeveriKey(7, 4, TangencyProfile.of({1: 2, 2: 1}), e1(3)),  # at K = 4
+        SeveriKey(7, 3, e1(3), TangencyProfile.of({1: 2, 2: 1})),  # at K = 3
         SeveriKey.plain(7, 5),  # held whole, so a hit
         SeveriKey(8, 6, e1(1), TangencyProfile.of({1: 5, 2: 1})),  # the degree above
         SeveriKey(6, 5, e2, TangencyProfile.of({1: 2, 2: 1})),
