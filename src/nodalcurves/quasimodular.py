@@ -5,21 +5,24 @@ D is the operator q*d/dq, and Delta(q) = q * prod_{k>0} (1 - q^k)^24 is the
 discriminant cusp form.  Everything here is a formal q-series with rational
 coefficients; no analytic structure in tau is used.
 
-G2, DG2 and D2G2 are read off one divisor-sum sieve, and Delta comes from
-the eta-product recurrence: with prod_{k>0} (1 - q^k)^24 = sum a_n q^n,
-applying q*d/dq to its logarithm gives
+G2, DG2 and D2G2 are read off a divisor-sum sieve.  Every power
+P^e = prod_{k>0} (1 - q^k)^e, for any integer e, comes from one integer
+kernel.  By Euler's pentagonal theorem P = sum_j (-1)^j q^(j(3j-1)/2) over
+all integers j, so P has only about sqrt(2n/3) nonzero terms through q^n
+(17 through q^122), and the power recurrence for g = f^e with f_0 = 1
+(Knuth, TAOCP vol. 2, 4.7)
 
-    n * a_n = -24 * sum_{k=1..n} sigma_1(k) * a_(n-k),
+    n * g_n = sum_{k=1..n} ((e + 1) * k - n) * f_k * g_(n-k)
 
-so every coefficient is computed over the integers and becomes a Fraction
-once, when the series is built.  Divisions by powers of q are explicit
-coefficient shifts with a valuation check, never formal series division, so
-a missing leading term fails loudly.
+runs over those terms only; the division by n is exact.  Delta is q * P^24,
+and each coefficient becomes a Fraction once, when the series is built.
+Divisions by powers of q are explicit coefficient shifts with a valuation
+check, never formal series division, so a missing leading term fails loudly.
 
 The closed-form generating function for a generic K3 surface with a
 primitive class of Euler characteristic chi is
 
-    (DG2/q)^chi / (Delta * D2G2 / q^2),
+    (DG2/q)^chi / (Delta * D2G2 / q^2) = (DG2/q)^chi * P^-24 / (D2G2/q),
 
 which this module expands to any order.
 """
@@ -27,7 +30,7 @@ which this module expands to any order.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import isqrt
 
 from .record import Record
 from .series import PowerSeries, SeriesError
@@ -63,15 +66,35 @@ def d2g2(order: int) -> PowerSeries:
     return PowerSeries.of([n * n * s for n, s in enumerate(_divisor_sums(order))], "q")
 
 
+def eta_power(e: int, order: int) -> PowerSeries:
+    """P^e = prod_{k>0} (1 - q^k)^e through q^order, for any integer e, in integers."""
+    if order < 0:
+        raise SeriesError("order must be nonnegative")
+    # Euler's pentagonal theorem: P's nonzero terms past the constant one sit
+    # at k = j(3j - 1)/2 and j(3j + 1)/2 for j >= 1, with sign (-1)^j, listed
+    # here in ascending k; both are at least j^2, so j <= isqrt(order)
+    terms = [
+        (k, (-1) ** j)
+        for j in range(1, isqrt(order) + 1)
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+        if k <= order
+    ]
+    g = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for k, f in terms:
+            if k > n:
+                break
+            acc += ((e + 1) * k - n) * f * g[n - k]
+        g.append(acc // n)
+    return PowerSeries.of(g, "q")
+
+
 def discriminant_delta(order: int) -> PowerSeries:
-    """Delta = q * prod (1 - q^k)^24 through the eta-product recurrence, in integers."""
+    """Delta = q * P^24, from the eta-power kernel."""
     if order < 1:
         raise SeriesError("Delta needs order >= 1")
-    sigma = _divisor_sums(order - 1)[1:]
-    a = [1]
-    for n in range(1, order):
-        a.append(-24 * sum(map(mul, sigma, reversed(a))) // n)
-    return PowerSeries.of([0] + a, "q")
+    return eta_power(24, order - 1).shift_up(1)
 
 
 def dg2_over_q(order: int) -> PowerSeries:
@@ -79,22 +102,26 @@ def dg2_over_q(order: int) -> PowerSeries:
     return dg2(order + 1).shift_down(1)
 
 
+def _d2g2_over_q(order: int) -> PowerSeries:
+    """D2G2/q as an exact coefficient shift: 1 + 12q + 36q^2 + ..."""
+    return d2g2(order + 1).shift_down(1)
+
+
 def delta_d2g2_over_q2(order: int) -> PowerSeries:
-    """(Delta * D2G2)/q^2, the unit-constant-term denominator of the K3 form."""
-    padded = order + 2
-    return (discriminant_delta(padded) * d2g2(padded)).shift_down(2)
+    """(Delta * D2G2)/q^2 = P^24 * (D2G2/q), the unit-constant-term denominator of the K3 form."""
+    return eta_power(24, order) * _d2g2_over_q(order)
 
 
 def k3_generating(chi: int, order: int) -> PowerSeries:
-    """Nodal-curve generating series of a generic primitive K3 class.
+    """Nodal-curve generating series of a generic primitive K3 class,
+    (DG2/q)^chi * P^-24 / (D2G2/q).
 
     chi is the Euler characteristic of the class; negative values are allowed
     since the expression is formal.
     """
     if order < 0:
         raise SeriesError("order must be nonnegative")
-    numerator = dg2_over_q(order) ** chi
-    return numerator / delta_d2g2_over_q2(order)
+    return dg2_over_q(order) ** chi * eta_power(-24, order) / _d2g2_over_q(order)
 
 
 class FormCatalog(Record):

@@ -37,7 +37,7 @@ from functools import cached_property
 
 from . import linalg
 from .cobordism import PairClass, k3_primitive, plane
-from .quasimodular import d2g2, delta_d2g2_over_q2, dg2, dg2_over_q, k3_generating
+from .quasimodular import d2g2, delta_d2g2_over_q2, dg2, dg2_over_q, eta_power, k3_generating
 from .record import Record
 from .series import PowerSeries
 from .severi import SeveriTable, check_threshold, p2_series
@@ -309,25 +309,33 @@ def genus_series(
 ) -> PowerSeries:
     """The fixed-genus product B1^Ksq * B2^m * DG2^r * D2G2 / (Delta*D2G2/q^2)^(chiO/2).
 
-    B1 and B2 only enter with nonzero exponent, so a fit is required exactly
-    when Ksq or m is nonzero.
+    With Delta = q * P^24 (P = prod (1 - q^k)) the exponents add up to
+
+        q^(r+1) * (DG2/q)^r * (D2G2/q)^(1 - chiO/2) * P^(-12*chiO) * B1^Ksq * B2^m,
+
+    so the unit factor is needed only through q^(order - r - 1), and for an
+    even chiO every power is integral.  B1 and B2 only enter with nonzero
+    exponent, so a fit is required exactly when Ksq or m is nonzero.
     """
     check_genus_series(r, order)
-    result = d2g2(order)
-    if r:
-        result = result * dg2(order) ** r
     if Ksq or m:
         if gyz is None:
             raise ValueError("nonzero Ksq or m exponents need a fitted GYZFit")
         if gyz.q_order < order:
             raise ValueError(f"fit q-order {gyz.q_order} is below requested order {order}")
-        if Ksq:
-            result = result * gyz.b1.truncate(order) ** Ksq
-        if m:
-            result = result * gyz.b2.truncate(order) ** m
-    if chiO:
-        result = result / delta_d2g2_over_q2(order).pow(Fraction(chiO, 2))
-    return result
+    n = order - r - 1
+    if n < 0:
+        return PowerSeries.zero(order, "q")
+    result = eta_power(-12 * chiO, n)
+    if r:
+        result = result * dg2_over_q(n) ** r
+    if chiO != 2:
+        result = result * d2g2(n + 1).shift_down(1).pow(Fraction(2 - chiO, 2))
+    if Ksq:
+        result = result * gyz.b1.truncate(n) ** Ksq
+    if m:
+        result = result * gyz.b2.truncate(n) ** m
+    return result.shift_up(r + 1)
 
 
 # ----------------------------------------------------------------------

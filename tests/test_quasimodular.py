@@ -14,6 +14,7 @@ from nodalcurves import (
     dg2_over_q,
     discriminant_delta,
     eisenstein_g2,
+    eta_power,
     k3_generating,
 )
 
@@ -126,6 +127,48 @@ def test_delta_satisfies_its_modular_differential_equation():
 def test_delta_requires_positive_order():
     with pytest.raises(SeriesError):
         discriminant_delta(0)
+
+
+def plain_eta_power(e, order):
+    """prod_{k<=order} (1 - q^k)^e in bare integers: |e| multiplications by
+    each factor, then for e < 0 the inverse of the product, term by term."""
+    poly = [1] + [0] * order
+    for k in range(1, order + 1):
+        for _ in range(abs(e)):
+            poly = [poly[n] - (poly[n - k] if n >= k else 0) for n in range(order + 1)]
+    if e < 0:
+        inverse = [1] + [0] * order
+        for n in range(1, order + 1):
+            inverse[n] = -sum(poly[k] * inverse[n - k] for k in range(1, n + 1))
+        poly = inverse
+    return poly
+
+
+@pytest.mark.parametrize("e", [-24, -12, -1, 1, 2, 3, 24])
+def test_eta_power_against_repeated_multiplication(e):
+    expected = plain_eta_power(e, 60)
+    for order in range(61):
+        assert eta_power(e, order).coeffs == tuple(expected[: order + 1])
+
+
+def test_eta_power_one_is_the_pentagonal_series_through_40():
+    nonzero = {n: c for n, c in enumerate(eta_power(1, 40).coeffs) if c}
+    assert nonzero == {
+        0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1, 35: -1, 40: -1
+    }
+
+
+def test_eta_power_zero_and_order_zero():
+    assert eta_power(0, 8) == PowerSeries.one(8, "q")
+    assert eta_power(-24, 0) == PowerSeries.one(0, "q")
+    with pytest.raises(SeriesError):
+        eta_power(1, -1)
+
+
+def test_fixed_denominator_is_delta_times_d2g2_over_q2():
+    for order in range(31):
+        expected = (discriminant_delta(order + 2) * d2g2(order + 2)).shift_down(2)
+        assert delta_d2g2_over_q2(order).coeffs == expected.coeffs
 
 
 def test_fixed_denominator_q2_coefficient_vanishes():

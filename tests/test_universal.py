@@ -22,10 +22,12 @@ from nodalcurves import (
     default_config,
     delta_d2g2_over_q2,
     dg2,
+    dg2_over_q,
     evaluate,
     fit_A,
     fit_B,
     genus_series,
+    k3_generating,
     k3_primitive,
     k3_series_in_x,
     p2_series,
@@ -299,6 +301,55 @@ def test_genus_series_requires_fit_for_nonzero_exponents(fit2):
     gyz = fit_B(fit2)
     series = genus_series(1, 2, -3, 2, 2, gyz)
     assert series.order == 2
+
+
+def quotient_genus_series(r, chiO, order, b1=None, Ksq=0, b2=None, m=0):
+    """The product D2G2 * DG2^r * B1^Ksq * B2^m divided by the fixed factor
+    (Delta*D2G2/q^2)^(chiO/2), each factor expanded at the full order."""
+    product = d2g2(order) * dg2(order) ** r
+    if Ksq:
+        product = product * b1.truncate(order) ** Ksq
+    if m:
+        product = product * b2.truncate(order) ** m
+    return product / delta_d2g2_over_q2(order).pow(F(chiO, 2))
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("chiO", range(-4, 6))
+def test_genus_series_equals_the_quotient_by_the_fixed_factor(r, chiO):
+    # orders 1..r have valuation r + 1 above the order; odd chiO takes a
+    # half-integer power of the fixed factor
+    for order in range(1, 26):
+        series = genus_series(r, 0, 0, chiO, order)
+        expected = quotient_genus_series(r, chiO, order)
+        assert (series.coeffs, series.var) == (expected.coeffs, expected.var)
+
+
+def test_fit_backed_genus_series_equals_the_quotient(fit3):
+    gyz = fit_B(fit3)
+    for r in range(4):
+        for chiO in (-1, 0, 2, 3):
+            for Ksq, m in ((1, 0), (0, 2), (-2, 3), (3, -1)):
+                for order in range(1, 4):
+                    expected = quotient_genus_series(r, chiO, order, gyz.b1, Ksq, gyz.b2, m)
+                    assert genus_series(r, Ksq, m, chiO, order, gyz).coeffs == expected.coeffs
+
+
+def test_k3_generating_equals_the_quotient_by_the_fixed_factor():
+    for chi in range(-3, 6):
+        for order in range(31):
+            expected = dg2_over_q(order) ** chi / delta_d2g2_over_q2(order)
+            assert k3_generating(chi, order).coeffs == expected.coeffs
+
+
+def test_genus_series_checks_the_fit_before_the_valuation(fit2):
+    # r + 1 > order makes the product zero through the order, but a missing
+    # or too short fit is still refused first
+    with pytest.raises(ValueError, match="need a fitted GYZFit"):
+        genus_series(5, 1, 0, 2, 3)
+    with pytest.raises(ValueError, match="fit q-order 2 is below requested order 3"):
+        genus_series(5, 1, 0, 2, 3, fit_B(fit2))
+    assert genus_series(5, 1, 0, 2, 2, fit_B(fit2)) == PowerSeries.zero(2, "q")
 
 
 def test_genus_series_rejects_negative_r():
