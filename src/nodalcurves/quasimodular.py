@@ -8,9 +8,9 @@ coefficients; no analytic structure in tau is used.
 G2, DG2 and D2G2 are read off a divisor-sum sieve.  Every power
 P^e = prod_{k>0} (1 - q^k)^e, for any integer e, comes from one integer
 kernel.  By Euler's pentagonal theorem P = sum_j (-1)^j q^(j(3j-1)/2) over
-all integers j, so P has only about sqrt(2n/3) nonzero terms through q^n
-(17 through q^122), and the power recurrence for g = f^e with f_0 = 1
-(Knuth, TAOCP vol. 2, 4.7)
+all integers j, so past its constant term P has only about sqrt(8n/3)
+nonzero terms through q^n (17 through q^122), and the power recurrence for
+g = f^e with f_0 = 1 (Knuth, TAOCP vol. 2, 4.7)
 
     n * g_n = sum_{k=1..n} ((e + 1) * k - n) * f_k * g_(n-k)
 
