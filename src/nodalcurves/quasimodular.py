@@ -6,16 +6,12 @@ discriminant cusp form.  Everything here is a formal q-series with rational
 coefficients; no analytic structure in tau is used.
 
 G2, DG2 and D2G2 are read off a divisor-sum sieve.  Every power
-P^e = prod_{k>0} (1 - q^k)^e, for any integer e, comes from one integer
-kernel.  By Euler's pentagonal theorem P = sum_j (-1)^j q^(j(3j-1)/2) over
-all integers j, so past its constant term P has only about sqrt(8n/3)
-nonzero terms through q^n (17 through q^122), and the power recurrence for
-g = f^e with f_0 = 1 (Knuth, TAOCP vol. 2, 4.7)
-
-    n * g_n = sum_{k=1..n} ((e + 1) * k - n) * f_k * g_(n-k)
-
-runs over those terms only; the division by n is exact.  Delta is q * P^24,
-and each coefficient becomes a Fraction once, when the series is built.
+P^e = prod_{k>0} (1 - q^k)^e, for any integer e, is series.power_numerators
+fed Euler's pentagonal theorem, P = sum_j (-1)^j q^(j(3j-1)/2) over all
+integers j: past its constant term P has only about sqrt(8n/3) nonzero
+terms through q^n (17 through q^122), and Miller's power recurrence runs
+over those terms only, in integers.  Delta is q * P^24, and each
+coefficient becomes a Fraction once, when the series is built.
 Divisions by powers of q are explicit coefficient shifts with a valuation
 check, never formal series division, so a missing leading term fails loudly.
 
@@ -33,7 +29,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .record import Record
-from .series import PowerSeries, SeriesError
+from .series import PowerSeries, SeriesError, power_numerators
 
 FORMS_FORMAT_VERSION = "forms-1"
 
@@ -67,27 +63,13 @@ def d2g2(order: int) -> PowerSeries:
 
 
 def eta_power(e: int, order: int) -> PowerSeries:
-    """P^e = prod_{k>0} (1 - q^k)^e through q^order, for any integer e, in integers."""
+    """P^e = prod_{k>0} (1 - q^k)^e through q^order, for any integer e, from the power kernel."""
     if order < 0:
         raise SeriesError("order must be nonnegative")
-    # Euler's pentagonal theorem: P's nonzero terms past the constant one sit
-    # at k = j(3j - 1)/2 and j(3j + 1)/2 for j >= 1, with sign (-1)^j, listed
-    # here in ascending k; both are at least j^2, so j <= isqrt(order)
-    terms = [
-        (k, (-1) ** j)
-        for j in range(1, isqrt(order) + 1)
-        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
-        if k <= order
-    ]
-    g = [1]
-    for n in range(1, order + 1):
-        acc = 0
-        for k, f in terms:
-            if k > n:
-                break
-            acc += ((e + 1) * k - n) * f * g[n - k]
-        g.append(acc // n)
-    return PowerSeries.of(g, "q")
+    # Euler's pentagonal theorem: P's nonzero terms sit at the pentagonal
+    # numbers k = j(3j -+ 1)/2, with sign (-1)^j; k >= j^2, so j <= isqrt(order)
+    signs = {j * (3 * j + s) // 2: (-1) ** j for j in range(isqrt(order) + 1) for s in (-1, 1)}
+    return PowerSeries.of(power_numerators([signs.get(k, 0) for k in range(order + 1)], e, 1), "q")
 
 
 def discriminant_delta(order: int) -> PowerSeries:

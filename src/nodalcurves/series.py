@@ -11,16 +11,18 @@ Coefficients are fractions.Fraction values, hence always in lowest terms
 with positive denominator.  Series are immutable after construction and all
 operations are pure: no operation changes an operand.
 
-Two integer kernels carry the arithmetic.  Each operand is written once as
-integer numerators over the lcm of its denominators; * runs the convolution
-_product_numerators and / the division recurrence _quotient_numerators over
-Python ints, building one Fraction per output coefficient.  log runs the
-division kernel on f's numerators directly, revert runs / and the
+Three integer kernels carry the arithmetic.  Each operand is written once
+as integer numerators over the lcm of its denominators; * runs the
+convolution _product_numerators, / the division recurrence
+_quotient_numerators and pow Miller's power recurrence power_numerators
+over Python ints, building one Fraction per output coefficient.  log runs
+the division kernel on f's numerators directly, revert runs / and the
 convolution, so each product and quotient has one code path; exp keeps its
-own recurrence.  pow is the one power routine
-(** is the same method): an integral exponent is binary powering that starts
-from f, any other is exp(e * log f) (Brent and Kung, Fast algorithms for
-manipulating formal power series, J. ACM 1978).
+own recurrence.  pow is the one power routine (** is the same method) for
+every rational exponent: the recurrence for h^e runs over h's nonzero terms
+only, as quasimodular.eta_power feeds it Euler's pentagonal series, and
+an integral exponent first factors out the constant term and the leading
+power of t.
 
 The variable tag ("q", "x", ...) is documentation only; it is carried along
 but never consulted by the arithmetic.
@@ -87,6 +89,36 @@ def _quotient_numerators(f: list[int], g: list[int]) -> list[int]:
         num.append(fn * power - sum(map(mul, scaled, reversed(num))))
         power *= g0
     return num
+
+
+def power_numerators(F: list[int], a: int, b: int) -> list[int]:
+    """G[n] = (b^2 * F[0])^n * [t^n] (F/F[0])^(a/b) for n < len(F), for integer F.
+
+    With u = F/F[0] and h(x) = u(F[0] x), h's coefficients H_k = F_k * F[0]^(k-1)
+    are integers.  Miller's power recurrence for g = h^e (Knuth, TAOCP vol. 2,
+    4.7), n * g_n = sum_k ((e + 1) k - n) * H_k * g_(n-k), reads with e = a/b
+    and G_n = b^(2n) g_n
+
+        G_n = sum_k ((a + b) k - n b) * H_k * b^(2k - 1) * G_(n-k) / n,
+
+    summed over the nonzero F_k only.  Each b^(2n) * binomial(e, n) is an
+    integer, so the division by n is exact; ArithmeticError says it was not,
+    which only an input other than integers can make happen.
+    """
+    weights = [(k, c * b * (b * b * F[0]) ** (k - 1)) for k, c in enumerate(F) if k and c]
+    terms = [(k, (a + b) * k * w, b * w) for k, w in weights]  # the weight is x - n * y
+    g = [1]
+    for n in range(1, len(F)):
+        acc = 0
+        for k, x, y in terms:  # ascending in k
+            if k > n:
+                break
+            acc += (x - n * y) * g[n - k]
+        gn, rest = divmod(acc, n)
+        if rest:
+            raise ArithmeticError(f"power recurrence: {acc} is not divisible by {n}")
+        g.append(gn)
+    return g
 
 
 _VAR_SWAP = {"q": "x", "x": "q"}
@@ -300,28 +332,27 @@ class PowerSeries(Record):
     def pow(self, e) -> PowerSeries:
         """f**e for rational e; the one power routine, also bound as **.
 
-        An integral e is binary powering, for any constant term; it starts
-        from f itself, so f**1 is f and f**0 is one at f's order and
-        variable.  A negative e inverts the power, so the division raises
-        NonUnitDivisorError for a zero constant term.  Any other e is
-        exp(e * log f), so log raises NormalizationError unless the
-        constant term is one.
+        f**0 is one at f's order and variable.  Otherwise f is c0 * t^v * u
+        with u's constant term one, and f**e = c0^e * t^(v e) * u^e; u^e
+        comes from power_numerators on u's integer numerators, and its
+        coefficient n is G_n / (b^2 * F[0])^n for e = a/b.  The leading t^v
+        is factored out for an integral e > 0.  A non-integral e needs c0 =
+        1, or NormalizationError names c0, and a negative e on a zero
+        constant term raises NonUnitDivisorError.
         """
-        e = _fraction(e)
-        if e.denominator != 1:
-            return (self.log() * e).exp()
-        n = abs(e.numerator)
-        if n == 0:
-            return PowerSeries.one(self.order, self.var)
-        result, base = None, self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                break
-            base = base * base
-        return 1 / result if e < 0 else result
+        a, b = _fraction(e).as_integer_ratio()
+        v = self.valuation() if b == 1 and a > 0 else 0
+        if a == 0 or v is None or v * a > self.order:
+            return PowerSeries.constant(int(a == 0), self.order, self.var)
+        c0 = self.coeffs[v]
+        if b != 1 and c0 != 1:
+            raise NormalizationError(f"normalization error: pow needs constant term 1, got {c0}")
+        if c0 == 0:
+            raise NonUnitDivisorError(f"non-unit base: f^{a} needs a nonzero constant term")
+        F, _ = _numerators(self.coeffs[v:], self.order - v * a)
+        (p, q), step = (c0**a).as_integer_ratio(), b * b * F[0]
+        out = [Fraction(x * p, q * step**n) for n, x in enumerate(power_numerators(F, a, b))]
+        return PowerSeries((Fraction(0),) * (v * a) + tuple(out), self.var)
 
     __pow__ = pow
 

@@ -756,11 +756,15 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
     for d in range(d - 1, 1, -1):
         top = -1  # the largest K of the families built at degree d
         for _, excess, union in _gain_ids(empty, d, min(kmax, d)):
-            alphas = _box(union)[0]
             mask = masks[kmax - excess]
-            if any(get(a << _ID_BITS | b, 0) <= mask for a, b in zip(alphas, reversed(alphas))):
-                unions.append(union)
-                top = max(top, k0 - excess)
+            # a family the table lacks is short at (-, U): its box is laid
+            # out only by _fill
+            if get(empty << _ID_BITS | union, 0) > mask:
+                alphas = _box(union)[0]
+                if all(get(a << _ID_BITS | b, 0) > mask for a, b in zip(alphas, reversed(alphas))):
+                    continue
+            unions.append(union)
+            top = max(top, k0 - excess)
         kmax = top
         if kmax < 0:
             break

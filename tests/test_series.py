@@ -17,6 +17,7 @@ from nodalcurves import (
     dg2,
     genus_series,
 )
+from nodalcurves.series import power_numerators
 
 F = Fraction
 
@@ -245,7 +246,7 @@ def test_diff_d_leibniz(f, g):
 
 @given(unit_st, st.integers(min_value=-3, max_value=6))
 def test_integer_and_rational_pow_paths_agree(f, n):
-    # binary powering against exp(n log f), the route of a non-integral exponent
+    # the power kernel at an integral exponent against exp(n log f)
     assert f**n == (f.log() * n).exp()
 
 
@@ -380,6 +381,42 @@ def product_power(f: PowerSeries, n: int) -> PowerSeries:
     for _ in range(abs(n)):
         out = out * f
     return 1 / out if n < 0 else out
+
+
+def reference_pow(f: PowerSeries, e: Fraction) -> PowerSeries:
+    """f^e as exp(e * log f), for f with constant term one."""
+    return (f.log() * e).exp()
+
+
+@given(
+    st.lists(rational_st, max_size=12).map(lambda tail: PowerSeries.of([F(1)] + tail, "x")),
+    st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
+)
+def test_pow_matches_exp_of_e_log(f, e):
+    power = f.pow(e)
+    assert exact(power) == exact(reference_pow(f, e))
+    assert power.order == f.order and power.var == "x"
+
+
+@given(
+    st.sampled_from([F(2), F(-3, 2), F(0)]),
+    st.lists(rational_st, max_size=8),
+    st.integers(-6, 6),
+)
+def test_integral_pow_matches_products_for_any_constant_term(c0, tail, n):
+    f = PowerSeries.of([c0] + tail, "x")
+    if c0 == 0 and n < 0:
+        with pytest.raises(NonUnitDivisorError):
+            f.pow(n)
+    else:
+        assert exact(f.pow(n)) == exact(product_power(f, n))
+
+
+def test_power_kernel_refuses_an_inexact_division():
+    # integer numerators keep every division by n exact; a Fraction left
+    # uncleared does not
+    with pytest.raises(ArithmeticError, match="not divisible by 1"):
+        power_numerators([1, F(1, 2), 0], 1, 1)
 
 
 @pytest.mark.parametrize("n", range(-3, 7))

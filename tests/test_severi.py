@@ -494,6 +494,20 @@ def test_fill_interns_each_profile_once(tmp_path):
     assert len({json.loads(line)["key"] for line in lines}) == len(lines) == len(table)
 
 
+def test_a_cold_request_lays_each_family_out_once(monkeypatch):
+    module = sys.modules["nodalcurves.severi"]
+    box, laid_out = module._box, {}
+
+    def counted(union):
+        laid_out[union] = laid_out.get(union, 0) + 1
+        return box(union)
+
+    monkeypatch.setattr(module, "_box", counted)
+    assert severi(14, 5, SeveriTable()) == 213681907449
+    assert len(laid_out) > 100
+    assert max(laid_out.values()) == 1
+
+
 # ----------------------------------------------------------------------
 # brute-force oracle: an independent implementation of the recursion
 # ----------------------------------------------------------------------
