@@ -16,9 +16,10 @@ as integer numerators over the lcm of its denominators; * runs the
 convolution _product_numerators, / the division recurrence
 _quotient_numerators and pow Miller's power recurrence power_numerators
 over Python ints, building one Fraction per output coefficient.  log runs
-the division kernel on f's numerators directly, revert runs / and the
-convolution, so each product and quotient has one code path; exp keeps its
-own recurrence.  pow is the one power routine (** is the same method) for
+the division kernel on f's numerators directly, and revert takes t/g with /
+and reads one coefficient of each Lagrange power (t/g)^n from baby and
+giant steps raised with the convolution, so each product and quotient has
+one code path; exp keeps its own recurrence.  pow is the one power routine (** is the same method) for
 every rational exponent: the recurrence for h^e runs over h's nonzero terms
 only, as quasimodular.eta_power feeds it Euler's pentagonal series, and
 an integral exponent first factors out the constant term and the leading
@@ -31,7 +32,7 @@ but never consulted by the arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .record import Record
@@ -376,11 +377,16 @@ class PowerSeries(Record):
     def revert(self) -> PowerSeries:
         """Compositional inverse of a series with valuation exactly one.
 
-        Lagrange inversion: [t^n] h = [t^(n-1)] (t/g)^n / n.  t/g is
-        1 / (g/t), taken with /, and written once as integer numerators p
-        over d.  The running power (t/g)^n is kept as integer numerators
-        over d^n and raised with the convolution * runs on, so one Fraction
-        is built per output coefficient.
+        Lagrange inversion: [t^n] h = [t^(n-1)] p^n / n with p = t/g.  p is
+        1 / (g/t), taken with /, and written once as integer numerators
+        over d; each power p^i is kept as integer numerators over d^i.  Only
+        one coefficient of each p^n is read, so with k = isqrt(M) the
+        convolution * runs on makes the baby steps p^0..p^(k-1) and p^k,
+        and a giant step p^(jk) each time n reaches a multiple of k (baby
+        and giant steps, Paterson-Stockmeyer; Brent-Kung).  For n = jk + r,
+        [t^(n-1)] p^n is one dot product of p^(jk) with the reversed row
+        p^r, about 2 sqrt(M) products in all instead of M - 1, and one
+        Fraction is built per output coefficient.
         """
         g = self.coeffs
         if g[0] != 0:
@@ -389,12 +395,19 @@ class PowerSeries(Record):
         if m < 1 or g[1] == 0:
             raise ValuationError("reversion needs a nonzero linear coefficient")
         p, d = _numerators((1 / PowerSeries(g[1:], self.var)).coeffs, m - 1)
-        power, den, h = p, d, [Fraction(0)]
+        k = isqrt(m)
+        baby = [[1] + [0] * (m - 1), p]
+        while len(baby) <= k:
+            baby.append(_product_numerators(baby[-1], p))
+        step = baby.pop()  # p^k
+        rows = [row[::-1] for row in baby]  # rows[r][m - n:] is p^r's t^(n-1)..t^0
+        giant, den, h = baby[0], 1, [Fraction(0)]
         for n in range(1, m + 1):
-            h.append(Fraction(power[n - 1], n * den))
-            if n < m:
-                power = _product_numerators(power, p)
-                den *= d
+            j, r = divmod(n, k)
+            if not r:
+                giant = step if j == 1 else _product_numerators(giant, step)
+            den *= d
+            h.append(Fraction(sum(map(mul, giant, rows[r][m - n :])), n * den))
         return PowerSeries(tuple(h), _VAR_SWAP.get(self.var, self.var))
 
     def diff_d(self) -> PowerSeries:

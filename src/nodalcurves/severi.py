@@ -414,6 +414,9 @@ class SeveriTable:
         self._grown: dict[int, int] = {}
         # lines the file holds past a gap in their pair's prefix: key -> value
         self._held: dict[int, int] = {}
+        # union -> K of each promotion family this table built or found held
+        # whole at slots 0..K; _plan skips those without laying them out
+        self._whole: dict[int, int] = {}
         # the cache file's complete length as this table last read or wrote it
         self._length = 0
         self.hits = 0
@@ -731,7 +734,8 @@ def _box(union: int):
 def _plan(table: SeveriTable, root: int, k0: int, masks: list):
     """The pairs _fill builds for root = delta << _DELTA_SHIFT | pair: the
     degree-one pairs, each with the length of the prefix to build, and the
-    unions of the families to build, top-down by degree, root's own first.
+    families to build, top-down by degree, root's own first, each as its
+    union and the box _plan laid out for it, or None if it laid none out.
 
     root's own family is built from root up: the members alpha' >= alpha,
     which promotion never leaves and which hold the top member (U, -).  A
@@ -745,25 +749,31 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
     it is skipped and asks nothing.  The degree-one pairs are (-, 1), asked
     at kmax, and (1, -), at kmax - 1; a degree-one root is built alone."""
     get = table._packed.get
+    whole = table._whole
     empty = _intern(())
     alpha, beta = root >> _ID_BITS & _ID_MASK, root & _ID_MASK
     d = _weight[alpha] + _weight[beta]
     if d == 1:
         return {root & _PAIR_MASK: root >> _DELTA_SHIFT}, []
     union = _intern(_plus(_pairs[alpha], _pairs[beta]))
-    unions = [union]
+    unions = [(union, None)]
     kmax = k0 - _excess[union]
     for d in range(d - 1, 1, -1):
         top = -1  # the largest K of the families built at degree d
         for _, excess, union in _gain_ids(empty, d, min(kmax, d)):
-            mask = masks[kmax - excess]
-            # a family the table lacks is short at (-, U): its box is laid
-            # out only by _fill
-            if get(empty << _ID_BITS | union, 0) > mask:
-                alphas = _box(union)[0]
-                if all(get(a << _ID_BITS | b, 0) > mask for a, b in zip(alphas, reversed(alphas))):
+            k = kmax - excess
+            if whole.get(union, -1) >= k:
+                continue
+            # a family the table lacks is short at (-, U) and laid out by
+            # _fill; a box laid out here is handed to _fill with its union
+            box = None
+            if get(empty << _ID_BITS | union, 0) > masks[k]:
+                box = _box(union)
+                alphas = box[0]
+                if all(get(a << _ID_BITS | b, 0) > masks[k] for a, b in zip(alphas, reversed(alphas))):
+                    whole[union] = k
                     continue
-            unions.append(union)
+            unions.append((union, box))
             top = max(top, k0 - excess)
         kmax = top
         if kmax < 0:
@@ -834,9 +844,9 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
         packed[pair] = 1 | 1 << width * (k + 1)
     low = root >> _ID_BITS & _ID_MASK  # root's alpha
     while unions:  # each family's lists are freed once it is built
-        union = unions.pop()
+        union, box = unions.pop()
         k = k0 - _excess[union]
-        alphas, stride = _box(union)
+        alphas, stride = box or _box(union)
         mask, sentinel = masks[k], 1 << width * (k + 1)
         n1 = len(alphas) - 1
         values = [0] * len(alphas)
@@ -890,6 +900,8 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
             packed[pair] = total | sentinel
             values[i] = total
             sums[i] = slot_sum
+        if len(order) == len(alphas):
+            table._whole[union] = k
     return True
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from nodalcurves import (
     FormCatalog,
@@ -421,7 +421,7 @@ def test_power_kernel_refuses_an_inexact_division():
 
 @pytest.mark.parametrize("n", range(-3, 7))
 @pytest.mark.parametrize("c0", [F(1), F(2), F(-3, 2)])
-def test_pow_is_binary_powering_for_any_unit_constant_term(c0, n):
+def test_pow_kernel_matches_repeated_products_for_any_unit_constant_term(c0, n):
     f = series(c0, 1, F(1, 3), 0, -2)
     assert f.pow(n) == f**n == product_power(f, n)
     assert f.pow(F(n)) == f.pow(n)
@@ -506,3 +506,36 @@ def test_dg2_revert_at_order_thirty_is_pinned():
     # recorded with the Fraction-product reversion
     inverse = dg2(30).revert()
     assert digest(inverse) == "abbd9397e349a1aafd42350471ebde098eae5d3d4153c6eacb3c4d74e01cef9c"
+
+
+def reversible_of(order):
+    """[0, c1, ...] through t^order with a nonzero rational c1."""
+    tail = st.lists(rational_st, min_size=order - 1, max_size=order - 1)
+    return st.tuples(nonzero_st, tail).map(lambda t: [F(0), t[0]] + t[1])
+
+
+# k^2 - 1, k^2 and k^2 + 1 for k = 2..6: revert's baby steps run to
+# isqrt(order), so these orders sit where its giant steps begin and end
+STEP_ORDERS = [k * k + s for k in range(2, 7) for s in (-1, 0, 1)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 40).flatmap(reversible_of))
+def test_revert_matches_the_fraction_loop_at_orders_up_to_forty(g):
+    assert exact(PowerSeries.of(g, "q").revert()) == reference_revert(g)
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_revert_matches_the_fraction_loop_where_baby_and_giant_steps_meet(order, data):
+    g = data.draw(reversible_of(order))
+    assert exact(PowerSeries.of(g, "q").revert()) == reference_revert(g)
+
+
+@pytest.mark.parametrize("order", [30, 60])
+def test_dg2_composed_with_its_reversion_is_the_identity(order):
+    g = dg2(order)
+    h = g.revert()
+    assert h.order == order
+    assert g.compose(h) == PowerSeries.identity(order, "x")

@@ -494,7 +494,8 @@ def test_fill_interns_each_profile_once(tmp_path):
     assert len({json.loads(line)["key"] for line in lines}) == len(lines) == len(table)
 
 
-def test_a_cold_request_lays_each_family_out_once(monkeypatch):
+def _count_layouts(monkeypatch) -> dict:
+    """Wrap _box so each call counts its union: {union: calls}."""
     module = sys.modules["nodalcurves.severi"]
     box, laid_out = module._box, {}
 
@@ -503,9 +504,45 @@ def test_a_cold_request_lays_each_family_out_once(monkeypatch):
         return box(union)
 
     monkeypatch.setattr(module, "_box", counted)
-    assert severi(14, 5, SeveriTable()) == 213681907449
+    return laid_out
+
+
+def test_a_cold_request_lays_each_family_out_once(monkeypatch):
+    laid_out = _count_layouts(monkeypatch)
+    table = SeveriTable()
+    assert severi(14, 5, table) == 213681907449
     assert len(laid_out) > 100
     assert max(laid_out.values()) == 1
+    # as a fit asks both degrees at the top delta: the second request skips
+    # the families the first built whole without laying them out again
+    assert severi(15, 5, table) == 465104644470
+    assert max(laid_out.values()) == 1
+
+
+def test_a_family_planned_short_is_laid_out_once(monkeypatch, tmp_path):
+    # a cache that lost the middle members of the degree-14 families keeps
+    # their (-, U) members, so _plan lays those boxes out to find the short
+    # members, and _fill builds each family from the box _plan laid out
+    path = tmp_path / "cache.jsonl"
+    table = SeveriTable()
+    severi(14, 5, table)
+    table.save(path)
+    lines = path.read_text().splitlines(True)
+    kept = [line for line in lines
+            if not line.startswith('{"key": "14:') or ":-|" in line or '|-"' in line]
+    assert 0 < len(lines) - len(kept) < len(lines) // 10
+    path.write_text("".join(kept))
+    table = SeveriTable.load(path)
+    laid_out = _count_layouts(monkeypatch)
+    assert severi(15, 5, table) == 465104644470
+    assert max(laid_out.values()) == 1
+    assert _scalars(table) == _scalars(_built(15, 5))
+
+
+def _built(d, delta):
+    table = SeveriTable()
+    severi(d, delta, table)
+    return table
 
 
 # ----------------------------------------------------------------------
