@@ -19,11 +19,11 @@ over Python ints, building one Fraction per output coefficient.  log runs
 the division kernel on f's numerators directly, and revert takes t/g with /
 and reads one coefficient of each Lagrange power (t/g)^n from baby and
 giant steps raised with the convolution, so each product and quotient has
-one code path; exp keeps its own recurrence.  pow is the one power routine (** is the same method) for
-every rational exponent: the recurrence for h^e runs over h's nonzero terms
-only, as quasimodular.eta_power feeds it Euler's pentagonal series, and
-an integral exponent first factors out the constant term and the leading
-power of t.
+one code path; exp keeps its own recurrence.  pow is the one power routine
+(** is the same method) for every rational exponent: the recurrence for h^e
+runs over h's nonzero terms only, as quasimodular.eta_power feeds it
+Euler's pentagonal series, and an integral exponent first factors out the
+constant term and the leading power of t.
 
 The variable tag ("q", "x", ...) is documentation only; it is carried along
 but never consulted by the arithmetic.

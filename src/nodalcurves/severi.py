@@ -766,11 +766,11 @@ def _plan(table: SeveriTable, root: int, k0: int, masks: list):
                 continue
             # a family the table lacks is short at (-, U) and laid out by
             # _fill; a box laid out here is handed to _fill with its union
-            box = None
-            if get(empty << _ID_BITS | union, 0) > masks[k]:
+            mask, box = masks[k], None
+            if get(empty << _ID_BITS | union, 0) > mask:
                 box = _box(union)
                 alphas = box[0]
-                if all(get(a << _ID_BITS | b, 0) > masks[k] for a, b in zip(alphas, reversed(alphas))):
+                if all(get(a << _ID_BITS | b, 0) > mask for a, b in zip(alphas, reversed(alphas))):
                     whole[union] = k
                     continue
             unions.append((union, box))

@@ -421,7 +421,9 @@ def test_power_kernel_refuses_an_inexact_division():
 
 @pytest.mark.parametrize("n", range(-3, 7))
 @pytest.mark.parametrize("c0", [F(1), F(2), F(-3, 2)])
-def test_pow_kernel_matches_repeated_products_for_any_unit_constant_term(c0, n):
+def test_pow_is_binary_powering_for_any_unit_constant_term(c0, n):
+    # named when pow raised integral powers by binary powering; it checks
+    # the power kernel against repeated products
     f = series(c0, 1, F(1, 3), 0, -2)
     assert f.pow(n) == f**n == product_power(f, n)
     assert f.pow(F(n)) == f.pow(n)

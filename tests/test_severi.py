@@ -536,13 +536,9 @@ def test_a_family_planned_short_is_laid_out_once(monkeypatch, tmp_path):
     laid_out = _count_layouts(monkeypatch)
     assert severi(15, 5, table) == 465104644470
     assert max(laid_out.values()) == 1
-    assert _scalars(table) == _scalars(_built(15, 5))
-
-
-def _built(d, delta):
-    table = SeveriTable()
-    severi(d, delta, table)
-    return table
+    fresh = SeveriTable()
+    severi(15, 5, fresh)
+    assert _scalars(table) == _scalars(fresh)
 
 
 # ----------------------------------------------------------------------
