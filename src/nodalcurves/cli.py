@@ -23,9 +23,11 @@ and B2, which are the same for every fit that meets d >= r, so it fits at
 degrees (order, order + 1), the lowest that bound accepts, with K3 squares
 2 and 4.
 Exit codes: 0 success, 2 validation error (including an unusable --cache
-path), 3 mathematical inconsistency detected (a nonzero fit residual or a
-B1..B4 coefficient that is not an integer, from fit or a fit-backed
-genus-series, which still print, or a held-out mismatch).
+path), 3 mathematical inconsistency detected, with the document still
+printed: a nonzero fit residual or a B1..B4 coefficient that is not an
+integer (fit, a fit-backed genus-series), a fit that mispredicts the plane
+degree just below its inputs (fit, evaluate, validate, a fit-backed
+genus-series), or a mismatch at validate's held-out degree.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .universal import (
     fit_A,
     fit_B,
     genus_series,
+    held_out_ok,
     universal_T,
     validate_p2,
 )
@@ -180,7 +183,7 @@ def cmd_fit(args, table: SeveriTable) -> tuple[str, int]:
     }
     config = fit.config.to_json_dict()
     config["q_order"] = gyz.q_order
-    status = EXIT_OK if gyz.consistent else EXIT_INCONSISTENT
+    status = EXIT_OK if gyz.consistent and held_out_ok(fit, table) else EXIT_INCONSISTENT
     return _emit(args, "fit", config, result), status
 
 
@@ -190,9 +193,10 @@ def cmd_evaluate(args, table: SeveriTable) -> tuple[str, int]:
     series = evaluate(v, fit, args.order)
     config = fit.config.to_json_dict()
     config["vector"] = v.to_json_dict()
+    status = EXIT_OK if held_out_ok(fit, table) else EXIT_INCONSISTENT
     if args.output == "pretty":
-        return f"{series.pretty()}\n", EXIT_OK
-    return _emit(args, "evaluate", config, {"series": series.to_json_dict()}), EXIT_OK
+        return f"{series.pretty()}\n", status
+    return _emit(args, "evaluate", config, {"series": series.to_json_dict()}), status
 
 
 def cmd_decompose(args) -> tuple[str, int]:
@@ -227,11 +231,15 @@ def cmd_close_relation(args) -> tuple[str, int]:
 def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
     check_genus_series(args.r, args.order)
     gyz = None
+    status = EXIT_OK
     if args.Ksq or args.m:
         # B1 and B2 are the same for every fit that meets d >= r, so the
         # printed series does not depend on the fit's inputs: fit at the
         # lowest degrees check_threshold accepts
-        gyz = fit_B(fit_A(FitConfig(order=args.order, d1=args.order, d2=args.order + 1), table))
+        fit = fit_A(FitConfig(order=args.order, d1=args.order, d2=args.order + 1), table)
+        gyz = fit_B(fit)
+        if not (gyz.consistent and held_out_ok(fit, table)):
+            status = EXIT_INCONSISTENT
     series = genus_series(args.r, args.Ksq, args.m, args.chiO, args.order, gyz)
     config = {
         "r": args.r,
@@ -240,7 +248,6 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
         "chiO": args.chiO,
         "order": args.order,
     }
-    status = EXIT_INCONSISTENT if gyz is not None and not gyz.consistent else EXIT_OK
     if args.output == "pretty":
         return f"{series.pretty()}\n", status
     return _emit(args, "genus-series", config, {"series": series.to_json_dict()}), status
@@ -253,7 +260,7 @@ def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
     report = validate_p2(args.d, fit, args.order, table)
     config = fit.config.to_json_dict()
     config["held_out_degree"] = args.d
-    status = EXIT_OK if report.match else EXIT_INCONSISTENT
+    status = EXIT_OK if report.match and held_out_ok(fit, table) else EXIT_INCONSISTENT
     return _emit(args, "validate", config, report.to_json_dict()), status
 
 

@@ -30,7 +30,7 @@ Evaluation is memoized in a SeveriTable.  Inside the recursion a tangency
 profile is a small int id, given once per process by a module-level intern
 table, and the memo is keyed by one int packing (alpha id, beta id); the
 degree is implied, d = I(alpha) + I(beta).  Per-id tables hold each
-profile's weight, excess, canonical text and +-e_m neighbours, so the hot
+profile's weight, excess, canonical text and +e_m neighbours, so the hot
 loop hashes and stores plain ints.  The recursion is linear in the cogenus
 prefixes delta = 0..K of a pair, and each term only shifts delta, so the
 memo keeps each pair's prefix as one int of fixed-width slots (Kronecker
@@ -143,7 +143,6 @@ _weight: list[int] = []  # id -> I(pairs)
 _excess: list[int] = []  # id -> E(pairs) = sum_m (m - 1) * pairs[m]
 _text: list[str] = []  # id -> canonical tokens
 _up: list[dict] = []  # id -> {m: id of pairs + e_m}, filled on demand
-_down: list = []  # id -> ((m, id of pairs - e_m) for each m), None until needed
 
 
 def _intern(pairs) -> int:
@@ -159,7 +158,6 @@ def _intern(pairs) -> int:
         _excess.append(sum((m - 1) * c for m, c in pairs))
         _text.append(_tokens(pairs))
         _up.append({})
-        _down.append(None)
     return pid
 
 
@@ -170,15 +168,6 @@ def _raised(pid: int, m: int) -> int:
     if raised is None:
         raised = up[m] = _intern(_plus(_pairs[pid], ((m, 1),)))
     return raised
-
-
-def _lowered(pid: int) -> tuple:
-    """(m, id of pid - e_m) for each multiplicity m of profile pid."""
-    down = _down[pid]
-    if down is None:
-        pairs = _pairs[pid]
-        down = _down[pid] = tuple((m, _intern(_plus(pairs, ((m, -1),)))) for m, _ in pairs)
-    return down
 
 
 class TangencyProfile(Record):
@@ -427,6 +416,20 @@ class SeveriTable:
 
     def stats(self) -> dict:
         return {"entries": self._slots, "hits": self.hits, "misses": self.misses}
+
+    def plain_prefix(self, d: int, top: int) -> tuple[int, ...] | None:
+        """N(d, delta) for delta = 0..top as the memo holds them, or None if
+        it holds the plain pair (-, 1^d) shorter or not at all.  Unlike
+        severi, the read builds nothing and counts no hit."""
+        empty, simple = _ids.get(()), _ids.get(((1, d),))
+        if empty is None or simple is None:
+            return None
+        width = self._width
+        value = self._packed.get(empty << _ID_BITS | simple, 0)
+        if not value >> width * (top + 1):
+            return None
+        mask = (1 << width) - 1
+        return tuple(value >> width * delta & mask for delta in range(top + 1))
 
     def _widen(self, width: int):
         """Repack every pair into slots of width bits."""
@@ -867,10 +870,7 @@ def _fill(table: SeveriTable, root: int, k0: int) -> bool:
                 continue
             total = slot_sum = 0
             # promote one unassigned contact to an assigned one
-            down = _down[beta]
-            if down is None:
-                down = _lowered(beta)
-            for m, _ in down:
+            for m, _ in _pairs[beta]:
                 dep = i + stride[m]
                 total += m * values[dep]
                 slot_sum += m * sums[dep]

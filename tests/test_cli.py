@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from nodalcurves import SeveriTable, cli
-from nodalcurves.universal import GYZFit, GYZResiduals
+from nodalcurves.universal import GYZFit, GYZResiduals, default_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -625,8 +625,8 @@ def test_genus_series_with_a_nonzero_fit_residual_exits_3_and_still_prints(monke
     assert json.loads(capsys.readouterr().out)["command"] == "genus-series"
 
 
-def _plane_value_off_by(monkeypatch, degree, add):
-    """Make the fit read N(degree, 1) + add for the one-nodal plane count."""
+def _plane_value_off_by(monkeypatch, degree, add, r=1):
+    """Make the fit read N(degree, r) + add for the r-nodal plane count."""
     from nodalcurves import universal
 
     real_p2_series = universal.p2_series
@@ -636,7 +636,7 @@ def _plane_value_off_by(monkeypatch, degree, add):
         if d != degree:
             return series
         coeffs = list(series.coeffs)
-        coeffs[1] += add
+        coeffs[r] += add
         return type(series)(tuple(coeffs), series.var)
 
     monkeypatch.setattr(universal, "p2_series", off_p2_series)
@@ -663,13 +663,45 @@ def test_genus_series_with_a_non_integral_B_coefficient_exits_3_and_still_prints
     assert json.loads(capsys.readouterr().out)["command"] == "genus-series"
 
 
-def test_a_plane_value_off_by_nine_is_not_caught(monkeypatch, capsys):
+def test_a_plane_value_off_by_nine_keeps_B_integral_but_fails_the_held_out_degree(
+    monkeypatch, capsys
+):
     # the plane has K^2 = 9, so an error of 9 in one plane value moves B1 by
-    # an integer: residuals and integrality both pass, and the run exits 0
+    # an integer: residuals and integrality both pass, and only the fit's
+    # prediction of N(8, r) from the memo shows it
     _plane_value_off_by(monkeypatch, 9, 9)
-    assert cli.main(["fit", "--order", "2", "--no-timestamp"]) == 0
+    assert cli.main(["fit", "--order", "2", "--no-timestamp"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["residuals"]["ok"] is True
+    B = doc["result"]["B"]
+    assert all("/" not in c for name in ("B1", "B2", "B3", "B4") for c in B[name]["coeffs"])
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_every_perturbed_plane_input_of_a_fit_exits_3(monkeypatch, capsys, order):
+    # the default degrees: (9, 10) at order 2, (14, 15) at order 3
+    config = default_config(order)
+    for degree in (config.d1, config.d2):
+        for r in range(1, order + 1):
+            for add in (1, 3, 9, 81, -1):
+                with monkeypatch.context() as patch:
+                    _plane_value_off_by(patch, degree, add, r)
+                    assert cli.main(["fit", "--order", str(order), "--no-timestamp"]) == 3, (
+                        degree, r, add)
+                capsys.readouterr()
+
+
+def test_a_cached_fit_input_edited_by_hand_exits_3(tmp_path, capsys):
+    cache = tmp_path / "fit.jsonl"
+    argv = ["fit", "--order", "2", "--cache", str(cache), "--no-timestamp"]
+    assert cli.main(argv) == 0
+    right = capsys.readouterr().out
+    line = '{"key": "9:1:-|1^9", "value": "192"}\n'
+    text = cache.read_text()
+    assert line in text
+    cache.write_text(text.replace(line, line.replace("192", "201")))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out != right
 
 
 # sha256 of the five --no-timestamp stdouts per order, joined in GENUS_GRID

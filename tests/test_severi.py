@@ -3,6 +3,7 @@
 import fcntl
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,32 @@ def test_three_node_closed_form(table):
             + 525
         )
         assert severi(d, 3, table) == expected
+
+
+def test_smooth_curves_with_contact_conditions_have_a_closed_form(table):
+    # delta = 0: N(d, 0; alpha, beta) = I^beta |beta|! / prod_m beta_m!, with
+    # I^beta = prod_m m^beta_m, for every key of degree at most 10
+    keys = 0
+    for d in range(1, 11):
+        for w in range(d + 1):
+            for alpha_parts in _partitions_of(w):
+                for beta_parts in _partitions_of(d - w):
+                    alpha, beta = _profile_of_parts(alpha_parts), _profile_of_parts(beta_parts)
+                    expected = math.factorial(beta.size)
+                    for m, c in beta.pairs:
+                        expected = expected * m**c // math.factorial(c)
+                    key = SeveriKey(d, 0, alpha, beta)
+                    assert severi_relative(key, table) == expected, key.canonical()
+                    keys += 1
+    assert keys == 1214
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_the_most_nodal_curves_are_line_arrangements(d):
+    # d(d - 1)/2 nodes: d lines through 2d points, (2d)! / (2^d d!) ways
+    assert severi(d, d * (d - 1) // 2, SeveriTable()) == (
+        math.factorial(2 * d) // (2**d * math.factorial(d))
+    )
 
 
 def test_tangency_values_checked_by_hand(table):
@@ -478,13 +505,13 @@ def test_node_poly_window_too_short(table):
 
 
 def test_fill_interns_each_profile_once(tmp_path):
-    from nodalcurves.severi import _down, _excess, _ids, _pairs, _text, _up, _weight
+    from nodalcurves.severi import _excess, _ids, _pairs, _text, _up, _weight
 
     table = SeveriTable()
     for d, k in [(12, 3)] * 4 + [(d, k) for d in range(2, 12) for k in range(0, 4)]:
         severi(d, k, table)
     assert all(_ids[pairs] == pid for pid, pairs in enumerate(_pairs))
-    assert len(_ids) == len(_pairs) == len(_weight) == len(_text) == len(_up) == len(_down)
+    assert len(_ids) == len(_pairs) == len(_weight) == len(_text) == len(_up)
     assert len(_excess) == len(_pairs)
     assert all(_excess[pid] == _weight[pid] - sum(c for _, c in pairs)
                for pid, pairs in enumerate(_pairs))

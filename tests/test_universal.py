@@ -27,6 +27,7 @@ from nodalcurves import (
     fit_A,
     fit_B,
     genus_series,
+    held_out_ok,
     k3_generating,
     k3_primitive,
     k3_series_in_x,
@@ -179,6 +180,32 @@ def test_mismatched_fit_is_reported(fit3, table):
     r, predicted, actual = report.first_mismatch
     assert r == 3
     assert predicted != actual
+
+
+@pytest.mark.parametrize("order, degrees", [(3, (14, 15)), (4, (5, 4)), (1, (1, 2))])
+def test_held_out_check_reads_the_fits_memo_and_builds_only_what_it_lacks(order, degrees):
+    # the fit at (d1, d2) leaves N(min - 1, r) for r <= order in its table,
+    # so the check changes no count; on a table that lacks them it builds
+    # them; min(d1, d2) = 1 leaves no degree to check
+    local = SeveriTable()
+    fit = fit_A(FitConfig(order=order, d1=degrees[0], d2=degrees[1]), local)
+    before = (len(local), local.stats())
+    assert held_out_ok(fit, local)
+    assert (len(local), local.stats()) == before
+    fresh = SeveriTable()
+    assert held_out_ok(fit, fresh)
+    built = min(degrees) > 1
+    assert (len(fresh) > 0, fresh.stats()["misses"]) == (built, int(built))
+
+
+def test_held_out_check_fails_a_fit_off_at_the_degree_below(fit3):
+    # a fit with one x^2 coefficient of log A1 bumped mispredicts N(13, 2)
+    coeffs = list(fit3.log_a[0].coeffs)
+    coeffs[2] += 1
+    log_a = (PowerSeries.of(coeffs, "x"),) + fit3.log_a[1:]
+    bad = MultiplicativeFit(fit3.config, log_a, tuple(s.exp() for s in log_a))
+    assert held_out_ok(fit3, SeveriTable())
+    assert not held_out_ok(bad, SeveriTable())
 
 
 def test_heldout_degree_below_the_bound_is_refused_before_severi_work(fit3):
