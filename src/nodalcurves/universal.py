@@ -270,10 +270,10 @@ def held_out_ok(fit: MultiplicativeFit, table: SeveriTable) -> bool:
     """Whether the fit predicts N(d, r) for r <= min(order, d), where d =
     min(d1, d2) - 1 is the plane degree just below the fit's inputs.
 
-    Building N(d1, r) for r <= order leaves the plain pair of degree d1 - 1
-    in the memo with slots 0..order, so the check reads them from table and
-    builds nothing, unless the table came from a cache that holds them
-    shorter.  A wrong input value that keeps B1..B4 integral is caught
+    The fit's build of N(d + 1, r) for r <= order leaves the plain pair of
+    degree d in the memo with slots 0..order, so the check reads them from
+    table and builds nothing, unless the table came from a cache that holds
+    them shorter.  A wrong input value that keeps B1..B4 integral is caught
     here.  d >= top, so the prediction is exact (see check_threshold), but
     top falls one short of the order when d < order; a fit with d < 1 is
     not checked."""
