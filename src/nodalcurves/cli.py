@@ -111,7 +111,8 @@ def _build_fit(args, table: SeveriTable):
     return fit_A(config, table)
 
 
-def _emit(args, command: str, config: dict, result: dict) -> str:
+def _emit(args, command: str, config: dict, result: dict) -> list[str]:
+    """The document as one piece: json.dumps(sort_keys=True, indent=2) and a newline."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -120,7 +121,45 @@ def _emit(args, command: str, config: dict, result: dict) -> str:
     }
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return [json.dumps(doc, sort_keys=True, indent=2) + "\n"]
+
+
+# what json.dumps(sort_keys=True, indent=2) writes for fit's result["T"] = [];
+# "T" is the only key at indent 4 named so, under result
+_T_SLOT = '\n    "T": []'
+
+# one term of T_r at indent 10, after its separator, in json.dumps's layout
+_TERM = (
+    '%s          {\n            "coeff": "%s",\n            "exponents": [\n'
+    "              %d,\n              %d,\n              %d,\n              %d\n"
+    "            ]\n          }"
+)
+
+
+def _t_parts(polynomials):
+    """Fit's "T" list in the layout _T_SLOT stands for, one term at a time;
+    no term dict is built."""
+    yield '\n    "T": ['
+    for r, poly in enumerate(polynomials):
+        yield '%s\n      {\n        "r": %d,\n        "terms": [' % ("," if r else "", r)
+        for i, (e, c) in enumerate(poly.terms):
+            yield _TERM % (",\n" if i else "\n", c, *e)
+        yield "\n        ]\n      }" if poly.terms else "]\n      }"
+    yield "\n    ]"
+
+
+def _pieces(parts, size: int = 1 << 15) -> list[str]:
+    """Consecutive parts joined into pieces of at least size characters,
+    the last excepted, each at most one part longer."""
+    pieces, run, length = [], [], 0
+    for part in parts:
+        run.append(part)
+        length += len(part)
+        if length >= size:
+            pieces.append("".join(run))
+            run, length = [], 0
+    pieces.append("".join(run))
+    return pieces
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +167,7 @@ def _emit(args, command: str, config: dict, result: dict) -> str:
 # ----------------------------------------------------------------------
 
 
-def cmd_severi(args, table: SeveriTable) -> tuple[str, int]:
+def cmd_severi(args, table: SeveriTable) -> tuple[list[str], int]:
     if args.delta < 0:
         raise ValueError(f"--delta must be nonnegative, got {args.delta}")
     alpha = TangencyProfile.parse(args.alpha) if args.alpha else TangencyProfile.empty()
@@ -140,11 +179,11 @@ def cmd_severi(args, table: SeveriTable) -> tuple[str, int]:
     value = severi_relative(key, table)
     config = {"d": args.d, "delta": args.delta, "alpha": alpha.tokens(), "beta": beta.tokens()}
     if args.output == "pretty":
-        return f"N({key.canonical()}) = {value}\n", EXIT_OK
+        return [f"N({key.canonical()}) = {value}\n"], EXIT_OK
     return _emit(args, "severi", config, {"value": str(value)}), EXIT_OK
 
 
-def cmd_severi_table(args, table: SeveriTable) -> tuple[str, int]:
+def cmd_severi_table(args, table: SeveriTable) -> tuple[list[str], int]:
     for flag, bound in (("--dmax", args.dmax), ("--deltamax", args.deltamax)):
         if bound < 0:
             raise ValueError(f"{flag} must be nonnegative, got {bound}")
@@ -156,12 +195,15 @@ def cmd_severi_table(args, table: SeveriTable) -> tuple[str, int]:
         config = {"dmax": args.dmax, "deltamax": args.deltamax}
         return _emit(args, "severi-table", config, {"rows": rows}), EXIT_OK
     lines = ["d,delta,value"] + [f"{d},{k},{v}" for (d, k), v in zip(pairs, values)]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return ["\n".join(lines) + "\n"], EXIT_OK
 
 
-def cmd_fit(args, table: SeveriTable) -> tuple[str, int]:
+def cmd_fit(args, table: SeveriTable) -> tuple[list[str], int]:
+    """Everything that can raise or sets the status is computed here; the
+    T section's pieces only format."""
     fit = _build_fit(args, table)
     gyz = fit_B(fit)
+    polynomials = [universal_T(r, fit) for r in range(fit.order + 1)]
     result = {
         "A": [s.to_json_dict() for s in fit.a],
         "logA": [s.to_json_dict() for s in fit.log_a],
@@ -176,18 +218,17 @@ def cmd_fit(args, table: SeveriTable) -> tuple[str, int]:
             "delta_identity": gyz.residuals.delta_identity.to_json_dict(),
             "ok": gyz.residuals.ok,
         },
-        "T": [
-            {"r": r, "terms": universal_T(r, fit).to_json_list()}
-            for r in range(fit.order + 1)
-        ],
+        "T": [],
     }
     config = fit.config.to_json_dict()
     config["q_order"] = gyz.q_order
     status = EXIT_OK if gyz.consistent and held_out_ok(fit, table) else EXIT_INCONSISTENT
-    return _emit(args, "fit", config, result), status
+    (text,) = _emit(args, "fit", config, result)
+    head, _, tail = text.partition(_T_SLOT)
+    return [head, *_pieces(_t_parts(polynomials)), tail], status
 
 
-def cmd_evaluate(args, table: SeveriTable) -> tuple[str, int]:
+def cmd_evaluate(args, table: SeveriTable) -> tuple[list[str], int]:
     v = PairClass(args.L2, args.LK, args.c1sq, args.c2)
     fit = _build_fit(args, table)
     series = evaluate(v, fit, args.order)
@@ -195,25 +236,22 @@ def cmd_evaluate(args, table: SeveriTable) -> tuple[str, int]:
     config["vector"] = v.to_json_dict()
     status = EXIT_OK if held_out_ok(fit, table) else EXIT_INCONSISTENT
     if args.output == "pretty":
-        return f"{series.pretty()}\n", status
+        return [f"{series.pretty()}\n"], status
     return _emit(args, "evaluate", config, {"series": series.to_json_dict()}), status
 
 
-def cmd_decompose(args) -> tuple[str, int]:
+def cmd_decompose(args) -> tuple[list[str], int]:
     v = PairClass(args.L2, args.LK, args.c1sq, args.c2)
     coeffs = decompose(v)
     result = coeffs.to_json_dict()
     if args.alt:
         result["alt"] = convert(v).to_json_dict()
     if args.output == "pretty":
-        return (
-            f"a1={coeffs.a1} a2={coeffs.a2} a3={coeffs.a3} a4={coeffs.a4}\n",
-            EXIT_OK,
-        )
+        return [f"a1={coeffs.a1} a2={coeffs.a2} a3={coeffs.a3} a4={coeffs.a4}\n"], EXIT_OK
     return _emit(args, "decompose", {"vector": v.to_json_dict()}, result), EXIT_OK
 
 
-def cmd_close_relation(args) -> tuple[str, int]:
+def cmd_close_relation(args) -> tuple[list[str], int]:
     v1 = PairClass(*_ints(args.v1, 4, "--v1"))
     v2 = PairClass(*_ints(args.v2, 4, "--v2"))
     dpd = DoublePointData(gD=args.gD, degLD=args.degLD)
@@ -228,7 +266,7 @@ def cmd_close_relation(args) -> tuple[str, int]:
     return _emit(args, "close-relation", config, result), EXIT_OK
 
 
-def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
+def cmd_genus_series(args, table: SeveriTable) -> tuple[list[str], int]:
     check_genus_series(args.r, args.order)
     gyz = None
     status = EXIT_OK
@@ -249,11 +287,11 @@ def cmd_genus_series(args, table: SeveriTable) -> tuple[str, int]:
         "order": args.order,
     }
     if args.output == "pretty":
-        return f"{series.pretty()}\n", status
+        return [f"{series.pretty()}\n"], status
     return _emit(args, "genus-series", config, {"series": series.to_json_dict()}), status
 
 
-def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
+def cmd_validate(args, table: SeveriTable) -> tuple[list[str], int]:
     check_threshold(args.d, args.order)
     fit = _build_fit(args, table)
     _precompute(table, [(args.d, r) for r in range(args.order + 1)])
@@ -264,7 +302,7 @@ def cmd_validate(args, table: SeveriTable) -> tuple[str, int]:
     return _emit(args, "validate", config, report.to_json_dict()), status
 
 
-def cmd_forms(args) -> tuple[str, int]:
+def cmd_forms(args) -> tuple[list[str], int]:
     catalog = FormCatalog.build(args.order)
     return _emit(args, "forms", {"order": args.order}, catalog.to_json_dict()), EXIT_OK
 
@@ -436,11 +474,11 @@ def main(argv=None) -> int:
     try:
         if "cache" in args:  # the subcommands that open a Severi table
             table = SeveriTable.load(args.cache) if args.cache else SeveriTable()
-            text, status = args.handler(args, table)
+            pieces, status = args.handler(args, table)
             if args.cache:
                 table.save(args.cache)
         else:
-            text, status = args.handler(args)
+            pieces, status = args.handler(args)
     except (ValueError, OSError) as exc:
         error = {"error": {"code": EXIT_VALIDATION, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
@@ -449,7 +487,9 @@ def main(argv=None) -> int:
         error = {"error": {"code": EXIT_INCONSISTENT, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return EXIT_INCONSISTENT
-    sys.stdout.write(text)
+    write = sys.stdout.write  # looked up now, so redirect_stdout applies
+    for piece in pieces:
+        write(piece)
     return status
 
 

@@ -202,9 +202,6 @@ class UniversalPolynomial(Record):
             total += acc
         return total
 
-    def to_json_list(self) -> list:
-        return [{"exponents": list(e), "coeff": str(c)} for e, c in self.terms]
-
 
 def universal_T(r: int, fit: MultiplicativeFit) -> UniversalPolynomial:
     """Extract T_r: the x^r coefficient of exp(sum_i y_i log A_i) with the

@@ -1,7 +1,9 @@
 """Command-line interface: documents, exit codes, determinism, cache, flags."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,21 +12,37 @@ import sys
 import pytest
 
 from nodalcurves import SeveriTable, cli
-from nodalcurves.universal import GYZFit, GYZResiduals, default_config
+from nodalcurves.universal import (
+    FitConfig,
+    GYZFit,
+    GYZResiduals,
+    default_config,
+    fit_A,
+    fit_B,
+    universal_T,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args):
+def run_cli(*args, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "nodalcurves", *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
         cwd=ROOT,
     )
+
+
+def main_stdout(*args):
+    """cli.main's exit status and what it printed, under redirect_stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(list(args))
+    return status, buf.getvalue()
 
 
 def doc_of(proc):
@@ -109,6 +127,72 @@ def test_fit_order_four_bytes_are_pinned():
         hashlib.sha256(data).hexdigest()
         == "6a7c6db312aa89b1680cb69632ebc3792c801ab90ee828b8b3f93eed46d683c6"
     )
+
+
+def reference_fit_document(order, k3="2,4"):
+    """json.dumps(sort_keys=True, indent=2) of fit's document at the default
+    degrees with every T_r term a {"exponents", "coeff"} dict, the way fit
+    built the whole document before it wrote its T section term by term."""
+    base = default_config(order)
+    s1, s2 = (int(s) for s in k3.split(","))
+    fit = fit_A(FitConfig(order, base.d1, base.d2, s1, s2), SeveriTable())
+    gyz = fit_B(fit)
+    result = {
+        "A": [s.to_json_dict() for s in fit.a],
+        "logA": [s.to_json_dict() for s in fit.log_a],
+        "B": {name: b.to_json_dict() for name, b in zip(
+            ("B1", "B2", "B3", "B4"), (gyz.b1, gyz.b2, gyz.b3, gyz.b4))},
+        "residuals": {
+            "dg2_identity": gyz.residuals.dg2_identity.to_json_dict(),
+            "delta_identity": gyz.residuals.delta_identity.to_json_dict(),
+            "ok": gyz.residuals.ok,
+        },
+        "T": [
+            {"r": r, "terms": [{"exponents": list(e), "coeff": str(c)}
+                               for e, c in universal_T(r, fit).terms]}
+            for r in range(order + 1)
+        ],
+    }
+    config = fit.config.to_json_dict()
+    config["q_order"] = gyz.q_order
+    doc = {"schema_version": "1", "command": "fit", "config": config, "result": result}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k3", ["2,4", "4,6"], ids=["k3-2-4", "k3-4-6"])
+@pytest.mark.parametrize("order", range(7))
+def test_fit_streams_the_document_json_dumps_renders(order, k3):
+    status, text = main_stdout("fit", "--order", str(order), "--k3", k3, "--no-timestamp")
+    assert status == 0
+    assert text == reference_fit_document(order, k3)
+
+
+def test_main_under_redirect_stdout_prints_the_bytes_of_a_subprocess():
+    # perfbench captures main's output this way, so main writes to sys.stdout
+    # as it stands when the pieces are written
+    proc = run_cli("fit", "--order", "3", "--no-timestamp", text=False)
+    assert proc.returncode == 0, proc.stderr
+    status, text = main_stdout("fit", "--order", "3", "--no-timestamp")
+    assert status == 0
+    assert text.encode() == proc.stdout
+
+
+def test_no_piece_of_the_fit_document_exceeds_64_KiB():
+    # 6,188 T terms in 608,041 bytes: T goes out term by term, never as one
+    # string, and every other piece is small at this order
+    args = cli.build_parser().parse_args(
+        ["fit", "--order", "12", "--degrees", "12,13", "--no-timestamp"]
+    )
+    pieces, status = args.handler(args, SeveriTable())
+    assert status == 0
+    assert isinstance(pieces, (list, tuple))
+    data = "".join(pieces).encode()
+    assert len(data) == 608041
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "cd0489bddc60237fa18962d46ffd8b50f2d585d386f341514be259a023d56eeb"
+    )
+    assert max(len(piece.encode()) for piece in pieces) <= 64 * 1024
 
 
 def test_evaluate_formal_zero_vector():
@@ -748,6 +832,38 @@ FIT_ARGS = {
                      "--order", "1"),
     "validate": ("validate", "--d", "11", "--order", "1"),
 }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("severi", "--d", "3", "--delta", "1"),
+        ("severi", "--d", "3", "--delta", "1", "--output", "pretty"),
+        ("severi-table", "--dmax", "2", "--deltamax", "1"),
+        ("severi-table", "--dmax", "2", "--deltamax", "1", "--output", "json"),
+        FIT_ARGS["fit"],
+        FIT_ARGS["evaluate"],
+        (*FIT_ARGS["evaluate"], "--output", "pretty"),
+        ("decompose", "--L2", "1", "--LK", "-3", "--c1sq", "9", "--c2", "3"),
+        ("decompose", "--L2", "1", "--LK", "-3", "--c1sq", "9", "--c2", "3", "--output", "pretty"),
+        ("close-relation", "--v1", "1,-3,8,4", "--v2", "0,0,9,3", "--gD", "0", "--degLD", "0"),
+        FIT_ARGS["genus-series"],
+        (*FIT_ARGS["genus-series"], "--output", "pretty"),
+        FIT_ARGS["validate"],
+        ("forms", "--order", "2"),
+    ],
+    ids=["severi", "severi-pretty", "severi-table", "severi-table-json", "fit", "evaluate",
+         "evaluate-pretty", "decompose", "decompose-pretty", "close-relation", "genus-series",
+         "genus-series-pretty", "validate", "forms"],
+)
+def test_every_handler_returns_text_pieces(args):
+    # main writes the pieces one by one; a bare str would go out a character
+    # at a time
+    args = cli.build_parser().parse_args([*args, "--no-timestamp"])
+    pieces, status = args.handler(*((args, SeveriTable()) if "cache" in args else (args,)))
+    assert status == 0
+    assert isinstance(pieces, (list, tuple))
+    assert pieces and all(isinstance(piece, str) for piece in pieces)
 
 
 @pytest.mark.parametrize("command", list(FIT_ARGS))

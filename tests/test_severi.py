@@ -865,10 +865,10 @@ def test_each_pair_is_built_at_its_closed_form_length(case):
     from nodalcurves.severi import _DELTA_SHIFT, _excess, _ids, _ID_BITS, _ID_MASK, _pairs
 
     requests = _PREFIX_CLOSED[case]
-    first = requests[0]
-    k0 = first.delta + _excess[_ids[first.alpha.pairs]] + _excess[_ids[first.beta.pairs]]
     local = SeveriTable()
     values = [severi_relative(key, local) for key in requests]
+    first = requests[0]  # its profiles are interned once the requests have run
+    k0 = first.delta + _excess[_ids[first.alpha.pairs]] + _excess[_ids[first.beta.pairs]]
     base = _ids[((1, 1),)] << _ID_BITS | _ids[()]
     width = local._width
     for pair, value in local._packed.items():

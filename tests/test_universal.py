@@ -1,5 +1,6 @@
 """The multiplicative fit, universal polynomials, B-series, and validation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from nodalcurves import (
     universal_T,
     validate_p2,
 )
+from nodalcurves import cli
 
 F = Fraction
 
@@ -390,7 +392,11 @@ def test_genus_series_rejects_negative_r():
 
 
 def test_universal_polynomial_json(fit1):
-    doc = universal_T(1, fit1).to_json_list()
+    # fit's T section as the CLI streams it, term by term
+    text = "".join(cli._t_parts([universal_T(r, fit1) for r in range(2)]))
+    section = json.loads("{" + text + "}")["T"]
+    assert [entry["r"] for entry in section] == [0, 1]
+    doc = section[1]["terms"]
     assert {"exponents": [1, 0, 0, 0], "coeff": "3"} in doc
     assert {"exponents": [0, 1, 0, 0], "coeff": "2"} in doc
     assert {"exponents": [0, 0, 0, 1], "coeff": "1"} in doc
