@@ -10,9 +10,11 @@ Every JSON document embeds a schema version and echoes the mathematical
 parameters of the run, so a run is reproducible from its own output.  The
 timestamp is the only nondeterministic field and --no-timestamp suppresses
 it; execution details (cache path, output format) do not affect results
-and are not echoed.  Only the five subcommands that print more than one
-format (severi, severi-table, evaluate, decompose, genus-series) take
---output.  Only the six that open a Severi table (severi, severi-table, fit,
+and are not echoed.  Each handler returns its output as a list of text
+pieces, which main writes in turn only after the run and its cache save
+succeed; fit writes its T section term by term.  Only the five
+subcommands that print more than one format (severi, severi-table,
+evaluate, decompose, genus-series) take --output.  Only the six that open a Severi table (severi, severi-table, fit,
 evaluate, genus-series, validate) take --cache, the one way to name the
 append-only cache file; each loads it once before it runs and saves it once
 after it succeeds, genus-series included when it needs no fit.  Evaluation
@@ -148,14 +150,14 @@ def _t_parts(polynomials):
     yield "\n    ]"
 
 
-def _pieces(parts, size: int = 1 << 15) -> list[str]:
-    """Consecutive parts joined into pieces of at least size characters,
-    the last excepted, each at most one part longer."""
+def _pieces(parts) -> list[str]:
+    """Consecutive parts joined into pieces of at least 32 KiB, the last
+    excepted, each at most one part longer."""
     pieces, run, length = [], [], 0
     for part in parts:
         run.append(part)
         length += len(part)
-        if length >= size:
+        if length >= 1 << 15:
             pieces.append("".join(run))
             run, length = [], 0
     pieces.append("".join(run))
