@@ -10,11 +10,12 @@ Every JSON document embeds a schema version and echoes the mathematical
 parameters of the run, so a run is reproducible from its own output.  The
 timestamp is the only nondeterministic field and --no-timestamp suppresses
 it; execution details (cache path, output format) do not affect results
-and are not echoed.  Each handler returns its output as a list of text
-pieces, which main writes in turn only after the run and its cache save
-succeed; fit writes its T section term by term.  Only the five
-subcommands that print more than one format (severi, severi-table,
-evaluate, decompose, genus-series) take --output.  Only the six that open a Severi table (severi, severi-table, fit,
+and are not echoed.  Each handler returns its output as an iterable of
+text pieces, which main writes only after the run and its cache save
+succeed; fit formats each term of its T section only as it is written.
+Only the five subcommands that print more than one format (severi,
+severi-table, evaluate, decompose, genus-series) take --output.  Only the
+six that open a Severi table (severi, severi-table, fit,
 evaluate, genus-series, validate) take --cache, the one way to name the
 append-only cache file; each loads it once before it runs and saves it once
 after it succeeds, genus-series included when it needs no fit.  Evaluation
@@ -35,6 +36,7 @@ genus-series), or a mismatch at validate's held-out degree.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -150,20 +152,6 @@ def _t_parts(polynomials):
     yield "\n    ]"
 
 
-def _pieces(parts) -> list[str]:
-    """Consecutive parts joined into pieces of at least 32 KiB, the last
-    excepted, each at most one part longer."""
-    pieces, run, length = [], [], 0
-    for part in parts:
-        run.append(part)
-        length += len(part)
-        if length >= 1 << 15:
-            pieces.append("".join(run))
-            run, length = [], 0
-    pieces.append("".join(run))
-    return pieces
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -200,9 +188,9 @@ def cmd_severi_table(args, table: SeveriTable) -> tuple[list[str], int]:
     return ["\n".join(lines) + "\n"], EXIT_OK
 
 
-def cmd_fit(args, table: SeveriTable) -> tuple[list[str], int]:
+def cmd_fit(args, table: SeveriTable) -> tuple[itertools.chain[str], int]:
     """Everything that can raise or sets the status is computed here; the
-    T section's pieces only format."""
+    T section is a generator that formats each term as main writes it."""
     fit = _build_fit(args, table)
     gyz = fit_B(fit)
     polynomials = [universal_T(r, fit) for r in range(fit.order + 1)]
@@ -227,7 +215,7 @@ def cmd_fit(args, table: SeveriTable) -> tuple[list[str], int]:
     status = EXIT_OK if gyz.consistent and held_out_ok(fit, table) else EXIT_INCONSISTENT
     (text,) = _emit(args, "fit", config, result)
     head, _, tail = text.partition(_T_SLOT)
-    return [head, *_pieces(_t_parts(polynomials)), tail], status
+    return itertools.chain((head,), _t_parts(polynomials), (tail,)), status
 
 
 def cmd_evaluate(args, table: SeveriTable) -> tuple[list[str], int]:
@@ -489,9 +477,7 @@ def main(argv=None) -> int:
         error = {"error": {"code": EXIT_INCONSISTENT, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return EXIT_INCONSISTENT
-    write = sys.stdout.write  # looked up now, so redirect_stdout applies
-    for piece in pieces:
-        write(piece)
+    sys.stdout.writelines(pieces)  # looked up now, so redirect_stdout applies
     return status
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -185,7 +186,7 @@ def test_no_piece_of_the_fit_document_exceeds_64_KiB():
     )
     pieces, status = args.handler(args, SeveriTable())
     assert status == 0
-    assert isinstance(pieces, (list, tuple))
+    pieces = list(pieces)
     data = "".join(pieces).encode()
     assert len(data) == 608041
     assert (
@@ -193,6 +194,39 @@ def test_no_piece_of_the_fit_document_exceeds_64_KiB():
         == "cd0489bddc60237fa18962d46ffd8b50f2d585d386f341514be259a023d56eeb"
     )
     assert max(len(piece.encode()) for piece in pieces) <= 64 * 1024
+
+
+class FirstWriteTraced(io.StringIO):
+    """A sink that, at its first write, sums the live traced allocations
+    made in cli.py."""
+
+    cli_bytes = None
+
+    def write(self, text):
+        if self.cli_bytes is None:
+            stats = tracemalloc.take_snapshot().statistics("filename")
+            self.cli_bytes = sum(s.size for s in stats if s.traceback[0].filename == cli.__file__)
+        return super().write(text)
+
+
+def test_fit_holds_no_T_text_when_main_starts_writing():
+    # 1,001 T terms in 300,428 bytes: main writes the head before any term
+    # is formatted, so cli.py then holds the head and tail and nothing of T
+    sink = FirstWriteTraced()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            status = cli.main(["fit", "--order", "10", "--degrees", "10,11", "--no-timestamp"])
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert sink.cli_bytes < 64 * 1024
+    data = sink.getvalue().encode()
+    assert len(data) == 300428
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "d10950c1922e3c4cf9e0b95ae175e7b6259aedbb579ccbf64c5f9fc4e6c299b3"
+    )
 
 
 def test_evaluate_formal_zero_vector():
@@ -858,11 +892,12 @@ FIT_ARGS = {
 )
 def test_every_handler_returns_text_pieces(args):
     # main writes the pieces one by one; a bare str would go out a character
-    # at a time
+    # at a time.  fit's pieces are a one-pass iterator, so they are read once
     args = cli.build_parser().parse_args([*args, "--no-timestamp"])
     pieces, status = args.handler(*((args, SeveriTable()) if "cache" in args else (args,)))
     assert status == 0
-    assert isinstance(pieces, (list, tuple))
+    assert not isinstance(pieces, str)
+    pieces = list(pieces)
     assert pieces and all(isinstance(piece, str) for piece in pieces)
 
 
