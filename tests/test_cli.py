@@ -210,7 +210,7 @@ class FirstWriteTraced(io.StringIO):
 
 
 def test_fit_holds_no_T_text_when_main_starts_writing():
-    # 1,001 T terms in 300,428 bytes: main writes the head before any term
+    # 3,003 T terms in 300,428 bytes: main writes the head before any term
     # is formatted, so cli.py then holds the head and tail and nothing of T
     sink = FirstWriteTraced()
     tracemalloc.start()
