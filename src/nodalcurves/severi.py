@@ -42,12 +42,17 @@ delta + E(alpha) + E(beta) exceeds d(d - 1)/2, so a request above that
 bound is answered 0 without building, and k0 never exceeds it.  The slot
 width starts at _WIDTH bits and is widened, with every pair repacked,
 before any slot could carry into the next, which slot sums rule out
-exactly.  The sub-profile and new-contact term tables are memoized per
-id, and each one for cap or slack s is the one for s - 1 plus the terms
-at exactly s, so every term is built once.  A promotion moves one contact
-from beta to alpha, so the pairs of one union U = alpha + beta form a
-family, all built at one K = k0 - E(U): a box over alpha's counts, in
-which a promotion is a fixed step of the index.  A request builds its own
+exactly.  Every profile is 1^t + c for a core c without contacts of
+order one, and each core keeps a chain, the ids of 1^t + c for
+t = 0, 1, 2, ..., extended on demand.  The sub-profile and new-contact
+term tables are memoized per id and read their ids off the chains, by
+link index, with the core-only parts of each term memoized per core; each
+table for cap or slack s is the one for s - 1 plus the terms at exactly
+s, so every term is built once.  A promotion moves one contact from beta
+to alpha, so the pairs of one union U = alpha + beta form a family, all
+built at one K = k0 - E(U): a box over alpha's counts, in which a
+promotion is a fixed step of the index, laid out as the chains of the
+cores below U's core, cut at U's count of ones.  A request builds its own
 family from the requested pair up, and below it, degree by degree, every
 family the degree above can reach, whole, unless the table already holds
 every member as long as the degree above can ask.  The families are
@@ -168,6 +173,27 @@ def _raised(pid: int, m: int) -> int:
     if raised is None:
         raised = up[m] = _intern(_plus(_pairs[pid], ((m, 1),)))
     return raised
+
+
+_chains: dict[int, list] = {}  # core id -> [id of 1^t + core for t = 0, 1, ...]
+
+
+def _split(pid: int) -> tuple[int, int]:
+    """(t, core id) for profile pid = 1^t + core, the core without contacts of order one."""
+    pairs = _pairs[pid]
+    if pairs and pairs[0][0] == 1:
+        return pairs[0][1], _intern(pairs[1:])
+    return 0, pid
+
+
+def _chain(core: int, n: int) -> list:
+    """The ids of 1^t + core for t = 0..n at least, extended on demand."""
+    chain = _chains.get(core)
+    if chain is None:
+        chain = _chains[core] = [core]
+    while len(chain) <= n:
+        chain.append(_raised(chain[-1], 1))
+    return chain
 
 
 class TangencyProfile(Record):
@@ -649,27 +675,51 @@ def _partitions(n: int, largest: int | None = None) -> tuple[tuple[int, ...], ..
 
 
 @lru_cache(maxsize=None)
-def _new_contact_pairs(weight: int, excess: int) -> tuple:
-    """(gamma, prod_m m^gamma[m]) for I(gamma) = weight and excess exactly excess.
+def _core_box(core: int) -> tuple[tuple, tuple, dict]:
+    """The ids of the profiles c <= core in mixed-radix order, c at index
+    sum_m stride[m] * c[m], each one's prod_m binom(core[m], c[m]), and the
+    strides."""
+    ids, binoms, stride = [_intern(())], [1], {}
+    for m, c in _pairs[core]:
+        stride[m] = len(ids)
+        row, base = ids, binoms[:]
+        for take in range(1, c + 1):
+            row = [_raised(a, m) for a in row]
+            ids += row
+            binoms += [b * math.comb(c, take) for b in base]
+    return tuple(ids), tuple(binoms), stride
 
-    A profile of excess e is 1^k joined with parts (nu_i + 1) for a partition
-    nu of e, so only tiny partitions are touched."""
+
+@lru_cache(maxsize=None)
+def _core_gains(core: int, excess: int) -> tuple:
+    """(len(nu), id(core + gamma), prod_m m^gamma[m] * binom(core[m] +
+    gamma[m], gamma[m])) for each partition nu of excess, gamma the contacts
+    of orders nu_i + 1: the new contacts above order one of excess exactly
+    excess.  Only tiny partitions are touched."""
+    counts = dict(_pairs[core])
     out = []
     for nu in _partitions(excess):
-        ones = weight - excess - len(nu)
-        if ones >= 0:
-            gamma = _plus(((1, ones),), tuple((part + 1, 1) for part in nu))
-            out.append((gamma, math.prod(m**c for m, c in gamma)))
+        gamma = _plus((), tuple((part + 1, 1) for part in nu))
+        factor = math.prod(m**c * math.comb(counts.get(m, 0) + c, c) for m, c in gamma)
+        out.append((len(nu), _intern(_plus(_pairs[core], gamma)), factor))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _sub_ids(pid: int, cap: int) -> tuple:
     """(sub id, I(sub), binomial weight) for every sub <= profile pid with
-    I(sub) <= cap: the tuple for cap - 1, then the subs with I(sub) = cap."""
+    I(sub) <= cap: the tuple for cap - 1, then the subs with I(sub) = cap.
+    With pid = 1^a + c, those are 1^t + c' over the c' <= c that _core_box
+    lists, t = cap - I(c') <= a, weighted binom(a, t) * binom(c, c')."""
     prefix = _sub_ids(pid, cap - 1) if cap else ()
-    subs = _sub_profiles(_pairs[pid], cap)
-    return prefix + tuple((_intern(sub), w, b) for sub, w, b in subs if w == cap)
+    ones, core = _split(pid)
+    ids, binoms, _ = _core_box(core)
+    level = []
+    for sub, b in zip(ids, binoms):
+        t = cap - _weight[sub]
+        if 0 <= t <= ones:
+            level.append((_chain(sub, t)[t], cap, math.comb(ones, t) * b))
+    return prefix + tuple(level)
 
 
 @lru_cache(maxsize=None)
@@ -677,13 +727,17 @@ def _gain_ids(pid: int, weight: int, slack: int) -> tuple:
     """The degree-drop terms of unassigned profile beta = pid: the tuple for
     slack - 1, then (prod_m m^gamma[m] * binom(beta + gamma, beta), excess,
     id(beta + gamma)) for each new contact profile gamma with I(gamma) =
-    weight and excess = slack."""
-    beta = _pairs[pid]
-    counts = dict(beta)
+    weight and excess = slack.  With beta = 1^b + c, gamma is 1^k plus the
+    contacts _core_gains gives for c, k = weight - slack - len(nu) >= 0, so
+    beta + gamma is link b + k of the chain of c + gamma and the coefficient
+    is binom(b + k, k) times the core's factor."""
+    ones, core = _split(pid)
     out = []
-    for gamma, power in _new_contact_pairs(weight, slack):
-        coeff = power * math.prod(math.comb(counts.get(m, 0) + c, c) for m, c in gamma)
-        out.append((coeff, slack, _intern(_plus(beta, gamma))))
+    for size, gained, factor in _core_gains(core, slack):
+        new = weight - slack - size
+        if new >= 0:
+            top = ones + new
+            out.append((math.comb(top, new) * factor, slack, _chain(gained, top)[top]))
     return (_gain_ids(pid, weight, slack - 1) if slack else ()) + tuple(out)
 
 
@@ -721,16 +775,16 @@ def severi_relative(key: SeveriKey, table: SeveriTable) -> int:
 def _box(union: int):
     """The ids of the profiles alpha <= union in mixed-radix order, alpha at
     index sum_m stride[m] * alpha[m], and the strides.  The complement union
-    - alpha of the profile at index i is the one at len - 1 - i."""
-    alphas = [_intern(())]
-    stride = {}
-    for m, c in _pairs[union]:
-        stride[m] = len(alphas)
-        row = alphas
-        for _ in range(c):
-            raised = [_up[a].get(m) for a in row]
-            row = [_raised(a, m) for a in row] if None in raised else raised
-            alphas += row
+    - alpha of the profile at index i is the one at len - 1 - i.  With union
+    = 1^n + c, the box is links 0..n of the chain of each c' <= c in
+    _core_box order, stride[1] = 1 and stride[m] = (n + 1) * c's stride[m]."""
+    ones, core = _split(union)
+    cores, _, core_stride = _core_box(core)
+    alphas = []
+    for c in cores:
+        alphas += _chain(c, ones)[: ones + 1]
+    stride = {m: (ones + 1) * s for m, s in core_stride.items()}
+    stride[1] = 1
     return alphas, stride
 
 

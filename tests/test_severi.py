@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -644,22 +645,102 @@ def _naive(key, memo):
 
 
 def test_new_contact_enumeration_matches_raw_partitions():
-    from nodalcurves.severi import _new_contact_pairs
+    # from the empty beta, the drop terms' profiles are the new contact
+    # profiles gamma themselves, each with coefficient prod_m m^gamma[m]
+    from nodalcurves.severi import _gain_ids, _intern, _pairs
 
+    empty = _intern(())
     for weight in range(0, 9):
         for cap in range(0, 5):
-            generated = {
-                (TangencyProfile(g), e)
-                for e in range(cap + 1)
-                for g, _ in _new_contact_pairs(weight, e)
-            }
+            generated = [
+                (TangencyProfile(_pairs[gained]), e, coeff)
+                for coeff, e, gained in _gain_ids(empty, weight, cap)
+            ]
             expected = set()
             for parts in _partitions_of(weight):
                 profile = _profile_of_parts(parts)
                 excess = profile.weight - profile.size
                 if excess <= cap:
-                    expected.add((profile, excess))
-            assert generated == expected
+                    expected.add((profile, excess, math.prod(parts)))
+            assert len(generated) == len(set(generated))
+            assert set(generated) == expected
+
+
+# profiles whose boxes and term tables mix short and long chains of ones
+_LAYOUT_PROFILES = ["-", "1^6", "2^3", "2^1 3^2", "1^4 2^2 3^1", "1^9 2^1"]
+
+
+def _weights_of(profile, sub):
+    """prod_m binom(profile[m], sub[m])."""
+    return math.prod(math.comb(profile.count(m), c) for m, c in sub.pairs)
+
+
+@pytest.mark.parametrize("text", _LAYOUT_PROFILES)
+def test_a_box_is_the_mixed_radix_enumeration_of_the_sub_profiles(text):
+    from nodalcurves.severi import _box, _intern
+
+    union = TangencyProfile.parse(text)
+    strides, size = {}, 1
+    for m, c in union.pairs:
+        strides[m] = size
+        size *= c + 1
+    expected = [None] * size
+    for sub in union.sub_profiles():
+        expected[sum(strides[m] * c for m, c in sub.pairs)] = _intern(sub.pairs)
+    alphas, stride = _box(_intern(union.pairs))
+    assert alphas == expected
+    assert {m: stride[m] for m in strides} == strides
+    for sub in union.sub_profiles():
+        i = sum(strides[m] * c for m, c in sub.pairs)
+        rest = TangencyProfile.of({m: c - sub.count(m) for m, c in union.pairs})
+        assert alphas[len(alphas) - 1 - i] == _intern(rest.pairs)
+
+
+@pytest.mark.parametrize("text", _LAYOUT_PROFILES)
+def test_sub_terms_match_the_sub_profiles_and_their_binomials(text):
+    from nodalcurves.severi import _intern, _sub_ids
+
+    profile = TangencyProfile.parse(text)
+    for cap in range(profile.weight + 2):
+        expected = [
+            (_intern(sub.pairs), sub.weight, _weights_of(profile, sub))
+            for sub in profile.sub_profiles(max_weight=cap)
+        ]
+        assert Counter(_sub_ids(_intern(profile.pairs), cap)) == Counter(expected)
+
+
+@pytest.mark.parametrize("text", _LAYOUT_PROFILES)
+def test_drop_terms_match_the_raw_partitions(text):
+    # beta' = beta + gamma for each gamma of weight w and excess <= slack, with
+    # coefficient prod_m m^gamma[m] * binom(beta'[m], beta[m])
+    from nodalcurves.severi import _gain_ids, _intern
+
+    beta = TangencyProfile.parse(text)
+    for weight in range(7):
+        for slack in range(weight + 1):
+            expected = []
+            for parts in _partitions_of(weight):
+                gamma = _profile_of_parts(parts)
+                excess = gamma.weight - gamma.size
+                if excess <= slack:
+                    gained = TangencyProfile.of(
+                        {m: beta.count(m) + gamma.count(m) for m in {*dict(beta.pairs), *parts}}
+                    )
+                    coeff = math.prod(parts) * _weights_of(gained, beta)
+                    expected.append((coeff, excess, _intern(gained.pairs)))
+            got = _gain_ids(_intern(beta.pairs), weight, slack)
+            assert Counter(got) == Counter(expected), (text, weight, slack)
+
+
+@pytest.mark.parametrize("text", ["-", "2", "2^2 3", "4^1 5^2"])
+def test_a_chain_holds_the_profiles_one_transverse_contact_apart(text):
+    from nodalcurves.severi import _chain, _intern
+
+    core = TangencyProfile.parse(text)
+    chain = _chain(_intern(core.pairs), 7)
+    assert len(chain) >= 8
+    for t in range(8):
+        assert chain[t] == _intern(core.add(1, t).pairs)
 
 
 def test_recursion_matches_naive_implementation(table):
